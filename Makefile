@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint docs-check test test-race test-adversary fuzz-smoke telemetry-smoke bench bench-host breakdown figures fs-figures examples clean
+.PHONY: all build lint docs-check test test-race test-adversary fuzz-smoke telemetry-smoke bench bench-host bench-e2e breakdown figures fs-figures examples clean
 
 all: build lint docs-check test
 
@@ -90,6 +90,13 @@ bench:
 # Compare two reports with: go run ./cmd/bench-host -compare OLD NEW
 bench-host:
 	$(GO) run ./cmd/bench-host -out BENCH_host.json
+
+# End-to-end benchmark smoke (benchmarks/README.md): three seconds of the
+# rtt-udp workload on a real 4-replica UDP group. The exit status is the
+# correctness check (every reply right, no operation failed, replicas
+# agree); the numbers of a window this short are not for comparing.
+bench-e2e:
+	bash benchmarks/run.sh --workload rtt-udp --seed 1 --seconds 3 --trace 0
 
 # Traced per-phase latency breakdown of the 0/0 benchmark, BFT vs
 # tentative-execution-off, written to breakdown.json (reduced windows).

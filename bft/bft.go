@@ -213,26 +213,19 @@ func StartReplicaPipelined(cfg Config, sm StateMachine, keys *Keyring, net Netwo
 	return r, nil
 }
 
-// Stats returns a snapshot of the replica's progress counters, taken on
-// the replica's own event loop.
+// Stats returns a snapshot of the replica's progress counters, taken
+// under the replica's engine lock; zero once the replica is closed.
 func (r *Replica) Stats() Counters {
 	var out Counters
-	done := make(chan struct{})
-	if err := r.node.Do(func() { out = r.engine.Stats(); close(done) }); err != nil {
-		return out
-	}
-	<-done
+	_ = r.node.Do(func() { out = r.engine.Stats() })
 	return out
 }
 
-// View returns the replica's current view, read on its event loop.
+// View returns the replica's current view, read under its engine lock;
+// -1 once the replica is closed.
 func (r *Replica) View() int64 {
-	var v int64
-	done := make(chan struct{})
-	if err := r.node.Do(func() { v = r.engine.View(); close(done) }); err != nil {
-		return -1
-	}
-	<-done
+	v := int64(-1)
+	_ = r.node.Do(func() { v = r.engine.View() })
 	return v
 }
 
@@ -246,8 +239,8 @@ func (r *Replica) ScheduleRecovery(d time.Duration) {
 
 // Close stops the replica, in dependency order: the telemetry server
 // first (so no scrape runs against a dead node), then a final flight
-// flush while the event loop still answers, then the event loop itself.
-// The caller closes the network last.
+// flush while the node still answers, then the node itself. The caller
+// closes the network last.
 func (r *Replica) Close() {
 	r.mu.Lock()
 	srv := r.telemetry
@@ -314,15 +307,11 @@ func (c *Client) Invoke(ctx context.Context, op []byte, readOnly bool) ([]byte, 
 // Stats returns a snapshot of the client's protocol counters.
 func (c *Client) Stats() ClientCounters {
 	var out ClientCounters
-	done := make(chan struct{})
-	if err := c.node.Do(func() { out = c.engine.Stats(); close(done) }); err != nil {
-		return out
-	}
-	<-done
+	_ = c.node.Do(func() { out = c.engine.Stats() })
 	return out
 }
 
-// Close stops the client (telemetry server first, then the event loop).
+// Close stops the client (telemetry server first, then the node).
 // Outstanding Invoke calls never complete after Close; cancel their
 // contexts.
 func (c *Client) Close() {

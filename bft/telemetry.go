@@ -12,15 +12,15 @@ import (
 )
 
 // HostCounters reports the host-side (wall-clock) counters around a
-// replica's engine: event-loop drops, UDP receive losses, and the
+// replica's engine: mailbox drops, UDP receive losses, and the
 // verification pipeline's tallies. All fields are atomics underneath and
 // safe to read while the replica runs; zero values simply mean the
 // corresponding component is not in play (no UDP network, no pipeline).
 type HostCounters struct {
-	// InboxDrops counts events discarded on a full event-loop inbox;
-	// InboxDepth is its current occupancy.
+	// InboxDrops counts datagrams discarded on the replica's full
+	// channel-network mailbox. On UDP the kernel's socket buffer is the
+	// queue, and its drops are not visible here.
 	InboxDrops int64
-	InboxDepth int64
 
 	// UDPOversized and UDPBackpressure mirror
 	// transport.UDPNetwork.Oversized and Backpressure.
@@ -37,7 +37,7 @@ type HostCounters struct {
 }
 
 // HostStats returns the replica's host-side counters. Unlike Stats it
-// needs no trip through the event loop.
+// does not take the engine lock.
 func (r *Replica) HostStats() HostCounters {
 	hc := HostCounters{
 		InboxDrops: r.node.Dropped(),
@@ -58,11 +58,11 @@ func (r *Replica) HostStats() HostCounters {
 
 // newReplicaRegistry wires every layer of a starting replica into one
 // obs.Registry: engine counters and progress marks ("engine."), phase
-// histograms ("phase.", via the PhaseTracker installed in cfg), event-loop
+// histograms ("phase.", via the PhaseTracker installed in cfg), mailbox
 // health ("transport."), UDP receive losses ("udp.") when the network is
 // UDP, pipeline tallies ("verify.") when one exists, and process-level
 // gauges ("proc."). The registry and most gauges read engine fields, so
-// snapshots must run in the node's event context — MetricsSnapshot does.
+// snapshots must run under the node's engine lock — MetricsSnapshot does.
 func (r *Replica) initRegistry(reg *obs.Registry) {
 	r.reg = reg
 	r.engine.RegisterMetrics(reg, "engine.")
@@ -82,44 +82,23 @@ func (r *Replica) initRegistry(reg *obs.Registry) {
 	})
 }
 
-// inLoop runs fn in the replica's event context and waits for it,
-// unblocking (with transport.ErrClosed) if the node shuts down with the
-// action still queued.
-func (r *Replica) inLoop(fn func()) error {
-	done := make(chan struct{})
-	if err := r.node.Do(func() { fn(); close(done) }); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-r.node.Done():
-		select {
-		case <-done:
-			return nil
-		default:
-			return transport.ErrClosed
-		}
-	}
-}
-
 // MetricsSnapshot renders the replica's full metrics registry — engine,
-// phase, transport, UDP, pipeline, and process series — in the replica's
-// event context. It fails once the replica is closed.
+// phase, transport, UDP, pipeline, and process series — under the
+// replica's engine lock. It fails once the replica is closed.
 func (r *Replica) MetricsSnapshot() ([]obs.Metric, error) {
 	reg := r.reg // always set by StartReplica; local copy for the closure
 	var ms []obs.Metric
-	if err := r.inLoop(func() { ms = reg.Snapshot() }); err != nil {
+	if err := r.node.Do(func() { ms = reg.Snapshot() }); err != nil {
 		return nil, err
 	}
 	return ms, nil
 }
 
-// statusz assembles the /statusz document in the replica's event context.
+// statusz assembles the /statusz document under the replica's engine lock.
 func (r *Replica) statusz() (telemetry.Status, error) {
 	var st telemetry.Status
 	var heard []time.Duration
-	err := r.inLoop(func() {
+	err := r.node.Do(func() {
 		st.Node = r.cfg.Self
 		st.Role = "replica"
 		st.View = r.engine.View()
@@ -161,7 +140,7 @@ func (r *Replica) statusz() (telemetry.Status, error) {
 }
 
 // FlightEvents snapshots the replica's flight-recorder ring (the trace
-// recorder passed in Config.Trace) in its event context. It returns an
+// recorder passed in Config.Trace) under the engine lock. It returns an
 // error when the recorder is disabled or the replica closed.
 func (r *Replica) FlightEvents() ([]obs.Event, error) {
 	flight := r.flight
@@ -169,7 +148,7 @@ func (r *Replica) FlightEvents() ([]obs.Event, error) {
 		return nil, fmt.Errorf("bft: flight recorder disabled (set Config.Trace)")
 	}
 	var evs []obs.Event
-	if err := r.inLoop(func() { evs = flight.Events(nil) }); err != nil {
+	if err := r.node.Do(func() { evs = flight.Events(nil) }); err != nil {
 		return nil, err
 	}
 	return evs, nil
@@ -187,8 +166,8 @@ func (r *Replica) SetFlightDump(path string) {
 	var crash func()
 	if flight := r.flight; path != "" && flight != nil {
 		crash = func() {
-			// Runs on the panicking loop goroutine — the ring's only
-			// writer — so reading it directly is safe.
+			// Runs on the panicking goroutine with the engine lock
+			// still held, so reading the ring directly is safe.
 			_ = telemetry.WriteDump(path, flight.Events(nil))
 		}
 	}
@@ -219,7 +198,7 @@ func (r *Replica) DumpFlight() (string, error) {
 // (port 0 picks a free port) and returns the bound address. The endpoint
 // serves /metrics (Prometheus text), /healthz, /statusz, /debug/pprof/,
 // and — when the replica has a flight recorder — /flight. Close stops it
-// before the replica's event loop, so a scrape never races shutdown.
+// before the replica's node, so a scrape never races shutdown.
 func (r *Replica) ServeTelemetry(addr string) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,30 +237,18 @@ func (r *Replica) TelemetryAddr() string {
 }
 
 // MetricsSnapshot renders the client's metrics registry (client counters,
-// event-loop health, process gauges) in the client's event context.
+// mailbox health, process gauges) under the client's engine lock.
 func (c *Client) MetricsSnapshot() ([]obs.Metric, error) {
 	reg := c.reg // always set by StartClient; local copy for the closure
 	var ms []obs.Metric
-	done := make(chan struct{})
-	if err := c.node.Do(func() { ms = reg.Snapshot(); close(done) }); err != nil {
+	if err := c.node.Do(func() { ms = reg.Snapshot() }); err != nil {
 		return nil, err
 	}
-	select {
-	case <-done:
-		return ms, nil
-	case <-c.node.Done():
-		select {
-		case <-done:
-			return ms, nil
-		default:
-			return nil, transport.ErrClosed
-		}
-	}
+	return ms, nil
 }
 
 // ServeTelemetry starts the client's telemetry endpoint on addr and
-// returns the bound address; Close stops it before the client's event
-// loop.
+// returns the bound address; Close stops it before the client's node.
 func (c *Client) ServeTelemetry(addr string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -294,3 +294,74 @@ func TestClientTelemetry(t *testing.T) {
 	}
 	t.Fatalf("bft_client_completed missing:\n%s", body)
 }
+
+// gatedSM is a counterSM whose Execute waits for the test, which stalls
+// the replica's engine the way a slow service would.
+type gatedSM struct {
+	counterSM
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (g *gatedSM) Execute(client int32, op []byte, readOnly bool) []byte {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.gate
+	return g.counterSM.Execute(client, op, readOnly)
+}
+
+// TestHostStatsCountsMailboxOverflow stalls one replica inside its service
+// and overfills its channel-network mailbox: the overflow must be dropped
+// and show up as HostStats().InboxDrops, the counter that outlived the
+// event-loop inbox it used to describe.
+func TestHostStatsCountsMailboxOverflow(t *testing.T) {
+	net := bft.NewChannelNetwork()
+	rings := bft.NewKeyrings([]int{0, 1, 2, 3, 100})
+	if err := bft.Provision(rand.New(rand.NewSource(5)), rings); err != nil { //nolint:gosec
+		t.Fatal(err)
+	}
+	stalled := &gatedSM{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	var replicas []*bft.Replica
+	for i := 0; i < 4; i++ {
+		var sm bft.StateMachine = &counterSM{}
+		if i == 3 {
+			sm = stalled
+		}
+		r, err := bft.StartReplica(bft.DefaultConfig(4, i), sm, rings[i], net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		replicas = append(replicas, r)
+	}
+	client, err := bft.StartClient(bft.NewClientConfig(4, 100), rings[4], net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	defer close(stalled.gate) // before the Closes above: a stalled engine holds its lock
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := client.Invoke(ctx, []byte("inc"), false); err != nil {
+		t.Fatalf("invoke with one replica stalled: %v", err)
+	}
+	select {
+	case <-stalled.entered:
+	case <-ctx.Done():
+		t.Fatal("replica 3 never reached Execute")
+	}
+
+	const slots, extra = 4096, 25
+	for i := 0; i < slots+extra; i++ {
+		net.Send(100, 3, []byte{0xee})
+	}
+	if got := replicas[3].HostStats().InboxDrops; got < extra {
+		t.Fatalf("InboxDrops = %d after overfilling the mailbox by %d", got, extra)
+	}
+	if got := replicas[0].HostStats().InboxDrops; got != 0 {
+		t.Fatalf("InboxDrops = %d on a replica nobody flooded", got)
+	}
+}

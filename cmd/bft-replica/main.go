@@ -39,7 +39,7 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve /metrics, /statusz and pprof on this host:port (empty: disabled)")
 	flightCap := flag.Int("flight", 0, "flight-recorder ring capacity in events (0: disabled)")
 	flightDump := flag.String("flight-dump", "", "BFTTRC01 dump path for the flight recorder (default <keys dir>/flight-<id>.bfttrc)")
-	verifyWorkers := flag.Int("verify-workers", 0, "MAC verification workers; 0: serial in the event loop, -1: one per core")
+	verifyWorkers := flag.Int("verify-workers", 0, "MAC verification workers; 0: serial inside the engine, -1: one per core")
 	flag.Parse()
 
 	addrs, err := parsePeers(*peersFlag)

@@ -7,8 +7,8 @@
 //
 // Columns: node id and role, current view, executed requests, throughput
 // (executed delta per second between polls), execute-phase latency P50 and
-// P99 (pre-prepare to execution, from the phase histograms), event-loop
-// inbox drops and depth, UDP oversized datagrams, and the verification
+// P99 (pre-prepare to execution, from the phase histograms), mailbox
+// ("inbox") drops and depth, UDP oversized datagrams, and the verification
 // pipeline's queue depth. Unreachable endpoints render as DOWN and keep
 // their last-known identity.
 package main

@@ -384,3 +384,80 @@ func TestFixedSeedReproducesByteIdenticalTrace(t *testing.T) {
 			seed, len(a), len(b))
 	}
 }
+
+// requestWaitingFullScan is requestWaiting as it was before the scan was
+// bounded by maxKnownPP: a walk over the whole log. Kept as the reference
+// the bounded scan is compared against.
+func requestWaitingFullScan(r *Replica) bool {
+	if len(r.reqBuffer) > 0 {
+		return true
+	}
+	for n, s := range r.log {
+		if n > r.lastCommittedExec && s.havePP && !s.committed {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRequestWaitingMatchesFullScan compares the bounded requestWaiting
+// with the full log walk before every delivery of a chaos run: lossy
+// ordering across several checkpoints (small window, so slots are collected
+// and stragglers catch up by state transfer), then a dead primary and the
+// view change that rebuilds the log and lowers maxKnownPP.
+func TestRequestWaitingMatchesFullScan(t *testing.T) {
+	for _, seed := range chaosSeeds(t, 1, 2, 3) {
+		g := buildGroup(t, 4, []int{100, 101}, func(c *Config) {
+			c.CheckpointInterval = 4
+			c.LogWindow = 8
+		})
+		rng := rand.New(rand.NewSource(seed)) //nolint:gosec // deterministic chaos
+		lossRate, dead := 0.15, -1
+		g.c.drop = func(src, dst int, data []byte) bool {
+			return src == dead || dst == dead || rng.Float64() < lossRate
+		}
+		checks, waiting := 0, 0
+		g.c.observe = func(src, dst int, data []byte) {
+			for i, r := range g.replicas {
+				got, want := r.requestWaiting(), requestWaitingFullScan(r)
+				if got != want {
+					t.Fatalf("seed %d: replica %d requestWaiting = %v, full scan %v (view %d, lastCommittedExec %d, maxKnownPP %d)",
+						seed, i, got, want, r.view, r.lastCommittedExec, r.maxKnownPP)
+				}
+				checks++
+				if got {
+					waiting++
+				}
+			}
+		}
+		g.c.start()
+
+		done := 0
+		for i := 0; i < 10; i++ {
+			g.invokeAsync(100, opAppend("a", "x"), false, &done)
+			g.invokeAsync(101, opAppend("b", "y"), false, &done)
+		}
+		g.c.run(func() bool { return done == 20 }, 60*time.Second, "lossy phase")
+
+		lossRate = 0
+		g.c.advance(3 * time.Second) // stragglers rejoin the group's view
+		dead = g.replicas[1].cfg.PrimaryOf(g.replicas[1].View())
+		viewChanges := func() (sum int64) {
+			for _, r := range g.replicas {
+				sum += r.Stats().ViewChanges
+			}
+			return sum
+		}
+		before := viewChanges()
+		for i := 0; i < 6; i++ {
+			g.invokeAsync(100, opAppend("a", "z"), false, &done)
+		}
+		g.c.run(func() bool { return done == 26 }, 60*time.Second, "ops across the view change")
+		if viewChanges() == before {
+			t.Fatalf("seed %d: no view change with the primary dead", seed)
+		}
+		if waiting == 0 || waiting == checks {
+			t.Fatalf("seed %d: predicate was %d/%d true; the comparison saw only one value", seed, waiting, checks)
+		}
+	}
+}

@@ -222,7 +222,7 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 
 // Stats returns a copy of the replica's progress counters. Like every
 // engine method it must run in the node's event context: the counters are
-// plain fields mutated by the event loop (the determinism contract forbids
+// plain fields mutated in that context (the determinism contract forbids
 // locking inside engines), so wall-time callers read them through an
 // injected action — transport.Node.Do — as bft.Replica.Stats does.
 func (r *Replica) Stats() Counters { return r.stats }
@@ -422,12 +422,18 @@ func (r *Replica) inWindow(seq int64) bool {
 // known but not yet executed — buffered bodies, or batches accepted into
 // the log that have not committed. This is the condition that keeps the
 // view-change timer armed.
+//
+// Only sequence numbers up to maxKnownPP are probed: every site that sets
+// havePP first raises maxKnownPP to the slot's sequence number, and the one
+// site that lowers it (a new view) rebuilds the log below the new value.
+// The timer is synced several times per operation, and the span is a slot
+// or two where the log holds up to LogWindow.
 func (r *Replica) requestWaiting() bool {
 	if len(r.reqBuffer) > 0 {
 		return true
 	}
-	for n, s := range r.log {
-		if n > r.lastCommittedExec && s.havePP && !s.committed {
+	for n := r.lastCommittedExec + 1; n <= r.maxKnownPP; n++ {
+		if s := r.log[n]; s != nil && s.havePP && !s.committed {
 			return true
 		}
 	}

@@ -11,16 +11,16 @@ import (
 
 // FlightRecorder turns a node's bounded ring of recent obs events into
 // post-mortem BFTTRC01 dumps that cmd/bft-trace decodes. The ring itself
-// is the engine's obs.Recorder — written on the node's event loop under
+// is the engine's obs.Recorder — written in the node's event context under
 // the usual nil-gated zero-alloc hook contract — so the flight recorder
 // holds no event storage of its own: it binds a snapshot closure (which
 // hosts implement with transport.Node.Do, serializing the read against
 // the engine) to a dump destination.
 //
 // Dumps happen at three trigger points: SIGQUIT (wired by the server
-// binaries), a panic escaping the node's event loop (wired through
-// transport.Node.SetCrashDump — the deferred handler runs on the loop
-// goroutine itself, so the closure may read the ring directly), and
+// binaries), a panic escaping a handler call (wired through
+// transport.Node.SetCrashDump — the hook runs on the panicking goroutine
+// with the engine lock held, so the closure may read the ring directly), and
 // campaign assertion failures (internal/adversary/campaign writes the
 // attacked run's merged events through WriteDump).
 type FlightRecorder struct {

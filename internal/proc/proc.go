@@ -1,15 +1,17 @@
 // Package proc defines the boundary between protocol engines (replicas,
 // clients, baseline servers) and the environment that runs them.
 //
-// Engines are single-threaded reactive state machines: the environment calls
-// Receive and OnTimer, never concurrently, and the engine calls back into
-// the Env to learn the time, send messages, and arm timers. The same engine
+// Engines are serialized reactive state machines: the environment calls
+// Receive and OnTimer, never concurrently (though not always from the same
+// goroutine), and the engine calls back into the Env to learn the time, send
+// messages, and arm timers. The same engine
 // code runs unchanged on two environments:
 //
 //   - internal/sim: a deterministic discrete-event simulator in virtual
 //     time, used by the benchmark harness (the paper's testbed substitute);
-//   - internal/transport: goroutine/channel and UDP transports in wall
-//     time, used by the examples and the demo commands.
+//   - internal/transport: channel and UDP transports in wall time, used by
+//     the examples and the demo commands; calls are serialized by the node's
+//     engine lock and run on whichever goroutine holds the event.
 //
 // Engines must obtain all time from Env.Now and all randomness from
 // environment-provided sources so that simulation runs are reproducible.
@@ -18,8 +20,8 @@ package proc
 import "time"
 
 // Env is the world as seen by one node. Implementations must be called only
-// from the node's own event context; engines must not retain Env across
-// goroutines.
+// from inside the node's own handler calls; engines must not hand Env to
+// goroutines of their own.
 type Env interface {
 	// Now returns the time elapsed since the environment started. In
 	// simulation this is virtual time, and it may advance within a single
@@ -56,7 +58,10 @@ type Env interface {
 }
 
 // Handler is a node's protocol engine. The environment serializes all
-// calls; no internal locking is required.
+// calls (internal/transport: by the node's engine lock; internal/sim: by its
+// single event queue), with a happens-before edge from each call to the
+// next; no internal locking is required, and none may be assumed about
+// which goroutine a call arrives on.
 type Handler interface {
 	// Init is called exactly once, before any other call, with the node's
 	// environment.
@@ -73,8 +78,8 @@ type Handler interface {
 // VerifiedHandler is a Handler that can additionally accept pre-verified
 // messages from a transport-side verification stage (the multicore host
 // pipeline, internal/verifypool). The environment still serializes every
-// call — pre-verification moves cryptographic work off the engine's
-// thread, not the engine's own execution.
+// call — pre-verification moves cryptographic work out of the engine's
+// serialized section, not the engine's own execution.
 //
 // env carries the stage's envelope (a *verifypool.Envelope; typed as any
 // so engines without a pipeline need not import it). The contract: the

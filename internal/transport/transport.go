@@ -1,15 +1,16 @@
 // Package transport runs protocol engines (internal/proc handlers) on real
 // networks in wall-clock time: an in-process channel network for tests and
-// examples, and a UDP network for multi-process deployments. Each node gets
-// a single-goroutine event loop that serializes Receive/OnTimer calls, so
-// engines need no locking — the same contract the simulator provides.
+// examples, and a UDP network for multi-process deployments. Each node has
+// one engine lock: whichever goroutine holds an event for it — a socket
+// reader, a timer expiry, the verification pipeline's consumer, a caller of
+// Do — takes the lock and runs the handler to completion, so engines need no
+// locking — the same contract the simulator provides.
 package transport
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bftfast/internal/obs"
@@ -21,12 +22,18 @@ import (
 var ErrClosed = errors.New("transport: closed")
 
 // Network delivers datagrams between numbered nodes. Implementations must
-// be safe for concurrent use. Delivery is best-effort (UDP semantics).
+// be safe for concurrent use. Delivery is best-effort (UDP semantics), and
+// the network is where datagrams queue: a node runs its handler on the
+// goroutine that delivers to it and keeps no queue of its own.
 type Network interface {
-	// Send transmits data to dst. The buffer must not be retained.
+	// Send transmits data to dst. The buffer must not be retained. Send is
+	// called from inside handlers, with the sender's engine lock held, so it
+	// must never run a receive callback synchronously: two nodes sending to
+	// each other would otherwise take each other's locks in opposite order.
 	Send(src, dst int, data []byte)
 	// Register installs the receive callback for a node. The callback may
-	// be invoked from arbitrary goroutines and owns the buffer it is given.
+	// be invoked from arbitrary goroutines, owns the buffer it is given,
+	// and may run the node's handler on the datagram before it returns.
 	Register(id int, recv func(data []byte)) error
 	// Unregister removes a node's receive callback.
 	Unregister(id int)
@@ -45,51 +52,41 @@ type OwnedRegistrar interface {
 	RegisterOwned(id int, bufs *verifypool.BufferPool, recv func(buf []byte, n int) bool) error
 }
 
-// event is one unit of work for a node loop.
-type event struct {
-	data     []byte               // non-nil: datagram
-	env      *verifypool.Envelope // non-nil: pipeline-processed datagram
-	timerKey int                  // data == nil && fn == nil: timer expiry
-	timerGen uint64               // generation the expiry belongs to
-	fn       func()               // externally injected action
-}
-
 // Node runs one handler on a network. Create with Start; stop with Close.
 type Node struct {
-	id      int
-	h       proc.Handler
-	vh      proc.VerifiedHandler // non-nil iff started with StartPipelined
-	pool    *verifypool.Pool     // non-nil iff started with StartPipelined
-	net     Network
-	inbox   chan event
-	done    chan struct{}
-	wg      sync.WaitGroup
-	start   time.Time
-	closing sync.Once
+	id    int
+	h     proc.Handler
+	vh    proc.VerifiedHandler // non-nil iff started with StartPipelined
+	pool  *verifypool.Pool     // non-nil iff started with StartPipelined
+	net   Network
+	start time.Time
 
-	mu     sync.Mutex
-	timers map[int]*time.Timer
-	// timerGen guards against stale expiries: a timer may fire and enqueue
-	// its event in the same instant the handler cancels or re-arms it, and
-	// time.Timer.Stop cannot retract the queued event. Each arm/cancel
-	// bumps the key's generation; expiries carrying an old generation are
-	// discarded by the loop. Engines would otherwise see ghost timeouts —
-	// e.g. a just-elected primary deposing itself on the suspicion timer it
-	// had already canceled.
-	timerGen map[int]uint64
-	closed   bool
-
-	// drops counts datagrams and timer expiries discarded because the
-	// inbox was full; post runs on arbitrary goroutines, hence atomic.
-	drops atomic.Int64
-
-	// crashDump, when set, runs on the loop goroutine if the handler
-	// panics, before the panic resumes (see SetCrashDump).
-	crashDump atomic.Value // func()
+	// mu is the engine lock. It is held for the whole of every handler
+	// call, and so guards the fields below as well: nodeEnv's methods run
+	// inside handler calls and take no lock of their own.
+	mu        sync.Mutex
+	closed    bool
+	timers    map[int]*nodeTimer
+	crashDump func() // see SetCrashDump
 }
 
-// nodeEnv is the proc.Env exposed to the handler; all its methods run on
-// the loop goroutine.
+// nodeTimer is one timer key's reusable runtime timer.
+type nodeTimer struct {
+	t     *time.Timer
+	armed bool
+	// stale counts expiries that had already started when the handler
+	// canceled or re-armed the key: Stop cannot retract them, and they get
+	// the engine lock only after that handler returns. Each is discarded
+	// on arrival; engines would otherwise see ghost timeouts — e.g. a
+	// just-elected primary deposing itself on the suspicion timer it had
+	// canceled. A reused timer's function cannot carry a per-arm
+	// generation, but expiries of one key are interchangeable: as many
+	// are dropped as were overtaken, and the live arm fires exactly once.
+	stale int
+}
+
+// nodeEnv is the proc.Env exposed to the handler; all its methods run
+// inside handler calls, under the engine lock.
 type nodeEnv struct{ n *Node }
 
 var _ proc.Env = nodeEnv{}
@@ -109,53 +106,58 @@ func (e nodeEnv) Multicast(dsts []int, data []byte) {
 
 func (e nodeEnv) SetTimer(key int, d time.Duration) {
 	n := e.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
+	tm := n.timers[key]
+	if tm == nil {
+		tm = &nodeTimer{armed: true}
+		n.timers[key] = tm
+		tm.t = time.AfterFunc(d, func() { n.expire(key, tm) })
 		return
 	}
-	if t, ok := n.timers[key]; ok {
-		t.Stop()
-	}
-	n.timerGen[key]++
-	gen := n.timerGen[key]
-	n.timers[key] = time.AfterFunc(d, func() {
-		n.post(event{data: nil, timerKey: key, timerGen: gen})
-	})
+	tm.disarm()
+	tm.armed = true
+	tm.t.Reset(d)
 }
 
 func (e nodeEnv) CancelTimer(key int) {
-	n := e.n
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.timerGen[key]++
-	if t, ok := n.timers[key]; ok {
-		t.Stop()
-		delete(n.timers, key)
+	if tm := e.n.timers[key]; tm != nil {
+		tm.disarm()
 	}
 }
 
-// timerCurrent reports whether a fired timer's generation is still live.
-func (n *Node) timerCurrent(key int, gen uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.timerGen[key] == gen
+// disarm stops an armed timer, noting an expiry it was too late to stop.
+func (tm *nodeTimer) disarm() {
+	if tm.armed && !tm.t.Stop() {
+		tm.stale++
+	}
+	tm.armed = false
 }
 
-// Start registers the handler on the network and launches its event loop.
+// expire runs on the runtime's timer goroutine when key's timer fires.
+func (n *Node) expire(key int, tm *nodeTimer) {
+	_ = n.Do(func() {
+		if tm.stale > 0 {
+			tm.stale--
+			return
+		}
+		tm.armed = false
+		n.h.OnTimer(key)
+	})
+}
+
+// Start registers the handler on the network; the goroutines the network
+// delivers on run it from then on.
 func Start(id int, h proc.Handler, net Network) (*Node, error) {
 	n := newNode(id, h, net)
-	if err := net.Register(id, func(data []byte) { n.post(event{data: data}) }); err != nil {
-		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
-	}
-	n.wg.Add(1)
-	go n.loop()
-	return n, nil
+	return n.open(func() error {
+		return net.Register(id, func(data []byte) {
+			_ = n.Do(func() { n.h.Receive(data) })
+		})
+	})
 }
 
 // StartPipelined is Start with the multicore verification pipeline in
 // front of the handler: inbound datagrams are MAC-checked and decoded on
-// pcfg.Workers goroutines (internal/verifypool) before the event loop
+// pcfg.Workers goroutines (internal/verifypool) before the pool's consumer
 // hands them — still strictly serialized, still in per-sender arrival
 // order — to h.ReceiveVerified. pcfg.Deliver is set by this function;
 // pcfg.Keys must be the node's key table. Networks implementing
@@ -164,33 +166,93 @@ func Start(id int, h proc.Handler, net Network) (*Node, error) {
 func StartPipelined(id int, h proc.VerifiedHandler, net Network, pcfg verifypool.Config) (*Node, error) {
 	n := newNode(id, h, net)
 	n.vh = h
-	pcfg.Deliver = n.postEnvelope
-	n.pool = verifypool.New(pcfg)
-	var err error
-	if or, ok := net.(OwnedRegistrar); ok {
-		err = or.RegisterOwned(id, n.pool.Buffers(), n.pool.SubmitOwned)
-	} else {
-		err = net.Register(id, func(data []byte) { n.pool.Submit(data) })
-	}
+	pcfg.Deliver = n.receiveEnvelope
+	pool := verifypool.New(pcfg)
+	n.pool = pool
+	n, err := n.open(func() error {
+		if or, ok := net.(OwnedRegistrar); ok {
+			return or.RegisterOwned(id, pool.Buffers(), pool.SubmitOwned)
+		}
+		return net.Register(id, func(data []byte) { pool.Submit(data) })
+	})
 	if err != nil {
-		n.pool.Close()
-		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
+		pool.Close()
 	}
-	n.wg.Add(1)
-	go n.loop()
-	return n, nil
+	return n, err
 }
 
 func newNode(id int, h proc.Handler, net Network) *Node {
 	return &Node{
-		id:       id,
-		h:        h,
-		net:      net,
-		inbox:    make(chan event, 4096),
-		done:     make(chan struct{}),
-		start:    time.Now(),
-		timers:   make(map[int]*time.Timer),
-		timerGen: make(map[int]uint64),
+		id:     id,
+		h:      h,
+		net:    net,
+		start:  time.Now(),
+		timers: make(map[int]*nodeTimer),
+	}
+}
+
+// open registers the node and initializes its handler under one hold of
+// the engine lock, so a datagram arriving the moment the node is registered
+// waits for Init. Init gets a goroutine of its own: it can be slow (a
+// replica snapshots its service for the first checkpoint), and a host
+// starting its nodes in turn should not wait out each one.
+func (n *Node) open(register func() error) (*Node, error) {
+	n.mu.Lock()
+	if err := register(); err != nil {
+		n.mu.Unlock()
+		return nil, fmt.Errorf("transport: registering node %d: %w", n.id, err)
+	}
+	go func() {
+		defer n.mu.Unlock()
+		n.h.Init(nodeEnv{n: n})
+	}()
+	return n, nil
+}
+
+// Do is the node's one dispatch path, for handler calls and for actions
+// injected from outside (client operations, reads of engine state) alike: it
+// takes the engine lock and runs fn to completion on the calling goroutine,
+// or returns ErrClosed without running it once the node is closed. fn must
+// not call Do or Close on the same node. A panic in fn closes the node (its
+// state may be half-updated, and other goroutines hold events for it), runs
+// the crash-dump hook and resumes.
+func (n *Node) Do(fn func()) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.closed {
+		return ErrClosed
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			n.closed = true
+			if n.crashDump != nil {
+				n.crashDump()
+			}
+			panic(r)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// receiveEnvelope is the pipeline's Deliver: it runs on the pool's consumer
+// goroutine (on the submitting reader when the pool has one worker), and
+// releases the envelope once the handler returns or the node refuses it.
+func (n *Node) receiveEnvelope(e *verifypool.Envelope) {
+	_ = n.Do(func() { n.handleEnvelope(e) })
+	e.Release()
+}
+
+// handleEnvelope hands one pipeline-processed datagram to the handler:
+// pre-verified envelopes take the ReceiveVerified fast path, passthrough
+// kinds the ordinary Receive path.
+//
+//bftvet:allocfree
+func (n *Node) handleEnvelope(e *verifypool.Envelope) {
+	if e.Verdict() == verifypool.VerdictVerified {
+		n.vh.ReceiveVerified(e.Bytes(), e)
+	} else {
+		n.h.Receive(e.Owned())
 	}
 }
 
@@ -198,39 +260,21 @@ func newNode(id int, h proc.Handler, net Network) *Node {
 // started with Start.
 func (n *Node) Pool() *verifypool.Pool { return n.pool }
 
-// post enqueues an event, reporting false (and counting a drop) if the
-// node is saturated or closed — datagram semantics: the protocol
-// retransmits.
-func (n *Node) post(ev event) bool {
-	select {
-	case n.inbox <- ev:
-		return true
-	case <-n.done:
-		return false
-	default:
-		// Inbox full: drop, like a kernel socket buffer.
-		n.drops.Add(1)
-		return false
-	}
+// Dropped reports how many datagrams addressed to the node were discarded
+// on a full queue in front of it. Only the channel network queues in user
+// space; on UDP the kernel's socket buffer is the queue and its drops are
+// not visible here.
+func (n *Node) Dropped() int64 {
+	_, drops := n.mailbox()
+	return drops
 }
 
-// postEnvelope enqueues a pipeline-processed datagram, releasing it
-// immediately when the inbox refuses it (the loop releases delivered
-// ones). Runs on the pool's consumer goroutine.
-func (n *Node) postEnvelope(e *verifypool.Envelope) {
-	if !n.post(event{env: e}) {
-		e.Release()
+func (n *Node) mailbox() (depth, drops int64) {
+	if c, ok := n.net.(*ChannelNetwork); ok {
+		return c.mailboxStats(n.id)
 	}
+	return 0, 0
 }
-
-// Dropped reports how many events were discarded on a full inbox.
-func (n *Node) Dropped() int64 { return n.drops.Load() }
-
-// Done returns a channel closed when the node stops. Waiters on injected
-// actions select on it alongside their own completion signal: Do can
-// succeed in enqueueing just before Close, in which case the action never
-// runs and only Done unblocks the waiter.
-func (n *Node) Done() <-chan struct{} { return n.done }
 
 // Uptime returns the wall-clock time since the node started — the same
 // clock its proc.Env.Now serves the engine, so engine-recorded instants
@@ -241,103 +285,39 @@ func (n *Node) Uptime() time.Duration { return time.Since(n.start) }
 // (e.g. "node3."). The gauges are atomics and safe to snapshot while the
 // node runs.
 func (n *Node) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.GaugeFunc(prefix+"inbox_drops", n.drops.Load)
-	reg.GaugeFunc(prefix+"inbox_depth", func() int64 { return int64(len(n.inbox)) })
+	reg.GaugeFunc(prefix+"inbox_drops", n.Dropped)
+	reg.GaugeFunc(prefix+"inbox_depth", func() int64 {
+		depth, _ := n.mailbox()
+		return depth
+	})
 }
 
-// SetCrashDump installs a hook that runs on the loop goroutine when a
-// handler panic escapes, before the panic resumes. Because the loop is
-// the engine's only writer, the hook may read engine state (the trace
-// ring, counters) directly — this is how hosts flush the flight recorder
-// on a crash. The hook must not panic itself; the original panic value is
+// SetCrashDump installs a hook that runs if a handler panic escapes, on
+// the panicking goroutine and with the engine lock still held, before the
+// panic resumes. The hook may therefore read engine state (the trace ring,
+// counters) directly — this is how hosts flush the flight recorder on a
+// crash. The hook must not panic itself; the original panic value is
 // re-raised unchanged so crash semantics (exit status, stack trace) are
 // preserved.
 func (n *Node) SetCrashDump(fn func()) {
-	n.crashDump.Store(fn)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.crashDump = fn
 }
 
-// Do runs fn on the node's event loop (used to inject client operations).
-func (n *Node) Do(fn func()) error {
-	// Check done first: a select with both cases ready picks randomly, and
-	// enqueueing onto a closed node must fail deterministically.
-	select {
-	case <-n.done:
-		return ErrClosed
-	default:
-	}
-	select {
-	case n.inbox <- event{fn: fn}:
-		return nil
-	case <-n.done:
-		return ErrClosed
-	}
-}
-
-func (n *Node) loop() {
-	defer n.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			if fn, ok := n.crashDump.Load().(func()); ok && fn != nil {
-				fn()
-			}
-			panic(r)
-		}
-	}()
-	env := nodeEnv{n: n}
-	n.h.Init(env)
-	for {
-		select {
-		case <-n.done:
-			return
-		case ev := <-n.inbox:
-			switch {
-			case ev.fn != nil:
-				ev.fn()
-			case ev.env != nil:
-				n.receiveEnvelope(ev.env)
-			case ev.data != nil:
-				n.h.Receive(ev.data)
-			default:
-				if n.timerCurrent(ev.timerKey, ev.timerGen) {
-					n.h.OnTimer(ev.timerKey)
-				}
-			}
-		}
-	}
-}
-
-// receiveEnvelope hands one pipeline-processed datagram to the handler on
-// the loop goroutine: pre-verified envelopes take the ReceiveVerified fast
-// path, passthrough kinds the ordinary Receive path. The envelope is
-// released once the handler returns.
-//
-//bftvet:allocfree
-func (n *Node) receiveEnvelope(e *verifypool.Envelope) {
-	if e.Verdict() == verifypool.VerdictVerified {
-		n.vh.ReceiveVerified(e.Bytes(), e)
-	} else {
-		n.h.Receive(e.Owned())
-	}
-	e.Release()
-}
-
-// Close stops the loop, cancels timers, and unregisters from the network.
+// Close stops the node: once it returns no handler call is running and
+// none will start. Every step is idempotent, so Close may be repeated.
 func (n *Node) Close() {
-	n.closing.Do(func() {
-		n.mu.Lock()
-		n.closed = true
-		for _, t := range n.timers {
-			t.Stop()
-		}
-		n.mu.Unlock()
-		n.net.Unregister(n.id)
-		if n.pool != nil {
-			// Drain the pipeline after the readers stopped: in-flight
-			// envelopes are delivered (or dropped and released once the
-			// loop exits — postEnvelope never blocks).
-			n.pool.Close()
-		}
-		close(n.done)
-		n.wg.Wait()
-	})
+	n.mu.Lock()
+	n.closed = true
+	for _, tm := range n.timers {
+		tm.t.Stop()
+	}
+	n.mu.Unlock()
+	n.net.Unregister(n.id)
+	if n.pool != nil {
+		// Drain the pipeline after the readers stopped: in-flight
+		// envelopes reach receiveEnvelope, which releases them unrun.
+		n.pool.Close()
+	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +27,8 @@ const defaultSocketBuffer = 1 << 20
 // address table maps node ids to UDP addresses (typically loopback ports in
 // the demo, distinct hosts in a deployment).
 type UDPNetwork struct {
-	addrs map[int]*net.UDPAddr
+	// peers is fixed at construction, so Send reads it without a lock.
+	peers map[int]*udpPeer
 
 	// ReadBufferBytes and WriteBufferBytes size each socket's kernel
 	// buffers at Register time (SetReadBuffer/SetWriteBuffer); zero means
@@ -35,12 +37,17 @@ type UDPNetwork struct {
 	ReadBufferBytes  int
 	WriteBufferBytes int
 
-	mu    sync.Mutex
-	conns map[int]*net.UDPConn
-	wg    sync.WaitGroup
+	wg sync.WaitGroup // reader goroutines
 
 	oversized    atomic.Int64
 	backpressure atomic.Int64
+}
+
+// udpPeer is one node of the address table: where to reach it, and the
+// socket it sends from while it is registered in this process.
+type udpPeer struct {
+	addr netip.AddrPort
+	conn atomic.Pointer[net.UDPConn]
 }
 
 // Oversized reports how many inbound datagrams were dropped because they
@@ -65,26 +72,29 @@ func (u *UDPNetwork) RegisterMetrics(reg *obs.Registry, prefix string) {
 
 // NewUDPNetwork builds a network from a node-id to address table.
 func NewUDPNetwork(addrs map[int]string) (*UDPNetwork, error) {
-	resolved := make(map[int]*net.UDPAddr, len(addrs))
+	peers := make(map[int]*udpPeer, len(addrs))
 	for id, a := range addrs {
 		ua, err := net.ResolveUDPAddr("udp", a)
 		if err != nil {
 			return nil, fmt.Errorf("transport: resolving %q for node %d: %w", a, id, err)
 		}
-		resolved[id] = ua
+		// Unmapped: WriteToUDPAddrPort on an IPv4 socket rejects the
+		// 4-in-6 form ResolveUDPAddr produces.
+		ap := ua.AddrPort()
+		peers[id] = &udpPeer{addr: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
 	}
-	return &UDPNetwork{addrs: resolved, conns: make(map[int]*net.UDPConn)}, nil
+	return &UDPNetwork{peers: peers}, nil
 }
 
 // bind opens and sizes the node's socket. Buffer-sizing errors are
 // ignored: kernels clamp oversized requests, and a socket with default
 // buffers still works — just drops earlier under load.
 func (u *UDPNetwork) bind(id int) (*net.UDPConn, error) {
-	addr, ok := u.addrs[id]
+	p, ok := u.peers[id]
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for node %d", id)
 	}
-	conn, err := net.ListenUDP("udp", addr)
+	conn, err := net.ListenUDP("udp", net.UDPAddrFromAddrPort(p.addr))
 	if err != nil {
 		return nil, fmt.Errorf("transport: binding node %d: %w", id, err)
 	}
@@ -94,9 +104,7 @@ func (u *UDPNetwork) bind(id int) (*net.UDPConn, error) {
 	if wb := sizeOrDefault(u.WriteBufferBytes); wb > 0 {
 		_ = conn.SetWriteBuffer(wb)
 	}
-	u.mu.Lock()
-	u.conns[id] = conn
-	u.mu.Unlock()
+	p.conn.Store(conn)
 	return conn, nil
 }
 
@@ -195,39 +203,31 @@ func (u *UDPNetwork) deliver(buf []byte, n int, recv func(data []byte)) {
 }
 
 // Unregister implements Network: closes the node's socket, stopping its
-// reader.
+// reader. A Send racing it writes to the closed socket and fails, which
+// best-effort delivery already allows.
 func (u *UDPNetwork) Unregister(id int) {
-	u.mu.Lock()
-	conn := u.conns[id]
-	delete(u.conns, id)
-	u.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
+	if p := u.peers[id]; p != nil {
+		if conn := p.conn.Swap(nil); conn != nil {
+			_ = conn.Close()
+		}
 	}
 }
 
 // Send implements Network.
 func (u *UDPNetwork) Send(src, dst int, data []byte) {
-	addr, ok := u.addrs[dst]
-	if !ok {
+	from, to := u.peers[src], u.peers[dst]
+	if from == nil || to == nil {
 		return
 	}
-	u.mu.Lock()
-	conn := u.conns[src]
-	u.mu.Unlock()
-	if conn == nil {
-		return
+	if conn := from.conn.Load(); conn != nil {
+		_, _ = conn.WriteToUDPAddrPort(data, to.addr) // best effort, like the wire
 	}
-	_, _ = conn.WriteToUDP(data, addr) // best effort, like the wire
 }
 
 // Close shuts every local socket and waits for readers to exit.
 func (u *UDPNetwork) Close() {
-	u.mu.Lock()
-	for id, conn := range u.conns {
-		_ = conn.Close()
-		delete(u.conns, id)
+	for id := range u.peers {
+		u.Unregister(id)
 	}
-	u.mu.Unlock()
 	u.wg.Wait()
 }

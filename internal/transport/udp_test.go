@@ -63,25 +63,6 @@ func TestUDPMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// TestNodeMetricsSnapshot checks the event-loop inbox drop counter is
-// exported through the same registry surface.
-func TestNodeMetricsSnapshot(t *testing.T) {
-	n := &Node{inbox: make(chan event), done: make(chan struct{})}
-	reg := obs.NewRegistry()
-	n.RegisterMetrics(reg, "node0.")
-
-	// An unserviced zero-capacity inbox forces the drop path.
-	n.post(event{data: []byte("x")})
-	n.post(event{data: []byte("y")})
-
-	if got := n.Dropped(); got != 2 {
-		t.Fatalf("Dropped() = %d, want 2", got)
-	}
-	if m, ok := reg.Get("node0.inbox_drops"); !ok || m.Value != 2 {
-		t.Fatalf("node0.inbox_drops = %+v (ok=%v), want 2", m, ok)
-	}
-}
-
 // TestUDPDeliverCopiesOutOfReadBuffer checks delivery hands the engine a
 // private copy: the reader immediately reuses its buffer for the next
 // ReadFromUDP, so aliasing it would corrupt earlier messages.

@@ -14,8 +14,8 @@
 // engine contract depends on:
 //
 //   - No concurrency in the engine: only the pool's single consumer
-//     goroutine delivers envelopes, and the transport's event loop remains
-//     the only caller of the engine.
+//     goroutine delivers envelopes, and the transport runs the engine on it
+//     under the node's engine lock, like every other caller.
 //   - Per-sender arrival order: every datagram is enqueued on an ordering
 //     channel at submission time, before its verification is scheduled;
 //     the consumer releases envelopes strictly in that order, waiting for
@@ -58,8 +58,8 @@ type Config struct {
 	Keys *crypto.KeyTable
 
 	// Depth is the number of in-flight envelopes (and the capacity of the
-	// internal channels). 0 means a default sized for a UDP reader ahead
-	// of a 4096-event transport inbox.
+	// internal channels). 0 means a default sized to ride out a burst
+	// from a UDP reader while the engine works through the one before.
 	Depth int
 
 	// MaxDatagram bounds the size of submitted datagrams; larger ones are
