@@ -91,12 +91,17 @@ bench:
 bench-host:
 	$(GO) run ./cmd/bench-host -out BENCH_host.json
 
-# End-to-end benchmark smoke (benchmarks/README.md): three seconds of the
-# rtt-udp workload on a real 4-replica UDP group. The exit status is the
-# correctness check (every reply right, no operation failed, replicas
-# agree); the numbers of a window this short are not for comparing.
+# End-to-end benchmark smoke (benchmarks/README.md): three seconds each of
+# the rtt-udp and kv-mixed-udp workloads on a real 4-replica UDP group. The
+# exit status is the correctness check (every reply right, no operation
+# failed, replicas agree); the numbers of a window this short are not for
+# comparing. kv-mixed-udp hands kvservice to bft.StartReplica directly, so
+# it is the run that takes the service's own copy-on-write checkpoints
+# (core.Checkpointer) over real transport; its check includes
+# read-your-write and equal StateDigest at equal last_executed.
 bench-e2e:
 	bash benchmarks/run.sh --workload rtt-udp --seed 1 --seconds 3 --trace 0
+	bash benchmarks/run.sh --workload kv-mixed-udp --seed 1 --seconds 3 --trace 0
 
 # Traced per-phase latency breakdown of the 0/0 benchmark, BFT vs
 # tentative-execution-off, written to breakdown.json (reduced windows).

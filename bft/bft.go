@@ -60,6 +60,10 @@ type (
 	Options = core.Options
 	// StateMachine is the deterministic service being replicated.
 	StateMachine = core.StateMachine
+	// Checkpointer is the optional StateMachine capability of keeping
+	// checkpoints copy-on-write; a service with large state implements
+	// it so a checkpoint costs its recent writes, not a Snapshot.
+	Checkpointer = core.Checkpointer
 	// Counters reports replica progress statistics.
 	Counters = core.Counters
 	// ClientCounters reports client-side protocol statistics.

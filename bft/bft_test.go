@@ -10,6 +10,7 @@ import (
 
 	"bftfast/bft"
 	"bftfast/internal/crypto"
+	"bftfast/internal/kvservice"
 )
 
 // counterSM is a minimal deterministic state machine: "inc" increments,
@@ -316,6 +317,61 @@ func TestPublicAPIPipelinedOverUDP(t *testing.T) {
 		}
 		if string(res) != fmt.Sprintf("%d", i) {
 			t.Fatalf("counter = %s after %d incs", res, i)
+		}
+	}
+}
+
+// TestPublicAPINativeCheckpointsStayLazy hands a Checkpointer service to
+// StartReplica as a deployment would and runs past several checkpoints: they become stable as before, at most three are
+// retained, and with nobody fetching none is ever serialized.
+func TestPublicAPINativeCheckpointsStayLazy(t *testing.T) {
+	const n = 4
+	rings := bft.NewKeyrings([]int{0, 1, 2, 3, 100})
+	if err := bft.Provision(rand.New(rand.NewSource(1)), rings); err != nil { //nolint:gosec
+		t.Fatal(err)
+	}
+	net := bft.NewChannelNetwork()
+	var replicas []*bft.Replica
+	for i := 0; i < n; i++ {
+		cfg := bft.DefaultConfig(n, i)
+		cfg.CheckpointInterval, cfg.LogWindow = 16, 32
+		r, err := bft.StartReplica(cfg, kvservice.New(), rings[i], net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		replicas = append(replicas, r)
+	}
+	client, err := bft.StartClient(bft.NewClientConfig(n, 100), rings[n], net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 0; i < 100; i++ {
+		if _, err := client.Invoke(ctx, kvservice.SetOp(fmt.Sprintf("k%d", i%7), fmt.Sprint(i)), false); err != nil {
+			t.Fatalf("set %d: %v", i, err)
+		}
+	}
+	for i, r := range replicas {
+		ms, err := r.MetricsSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, m := range ms {
+			got[m.Name] = m.Value
+		}
+		if got["engine.stable_checkpoints"] < 3 {
+			t.Errorf("replica %d: %d stable checkpoints after 100 batches of 16", i, got["engine.stable_checkpoints"])
+		}
+		if r := got["engine.checkpoint.retained"]; r < 1 || r > 3 {
+			t.Errorf("replica %d retains %d checkpoints, want 1..3", i, r)
+		}
+		if got["engine.checkpoint.materialized"] != 0 {
+			t.Errorf("replica %d serialized %d checkpoints with nobody fetching", i, got["engine.checkpoint.materialized"])
 		}
 	}
 }

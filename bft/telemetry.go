@@ -110,6 +110,7 @@ func (r *Replica) statusz() (telemetry.Status, error) {
 				st.LeaderOf = append(st.LeaderOf, inst)
 			}
 		}
+		st.CheckpointsRetained, st.CheckpointsMaterialized = r.engine.Checkpoints()
 		heard = r.engine.PeerHeard(nil)
 	})
 	if err != nil {

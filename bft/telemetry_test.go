@@ -82,7 +82,8 @@ func TestReplicaTelemetry(t *testing.T) {
 		t.Errorf("phase.execute_ns count = %v, want >= 1 (phase tracker not wired)", got)
 	}
 	for _, name := range []string{"bft_transport_inbox_drops", "bft_transport_inbox_depth",
-		"bft_proc_goroutines", "bft_proc_heap_bytes", "bft_engine_view"} {
+		"bft_proc_goroutines", "bft_proc_heap_bytes", "bft_engine_view",
+		"bft_engine_checkpoint_retained", "bft_engine_checkpoint_materialized"} {
 		if _, ok := series[name]; !ok {
 			t.Errorf("series %s missing from scrape", name)
 		}
@@ -92,7 +93,8 @@ func TestReplicaTelemetry(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/statusz status %d: %s", code, body)
 	}
-	for _, want := range []string{`"role": "replica"`, `"last_executed"`, `"peers"`} {
+	for _, want := range []string{`"role": "replica"`, `"last_executed"`, `"peers"`,
+		`"checkpoints_retained": 1`, `"checkpoints_materialized": 0`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/statusz missing %s:\n%s", want, body)
 		}

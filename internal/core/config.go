@@ -114,11 +114,12 @@ type Config struct {
 	// most one instance.
 	Instances int
 
-	// CheckpointSnapshots retains a state snapshot at each checkpoint so
-	// the replica can serve state transfer and roll back tentative
-	// execution across view changes. Benchmarks of the fault-free normal
-	// case may disable it to avoid snapshot cost, like the paper's
-	// copy-on-write checkpoints kept it negligible.
+	// CheckpointSnapshots retains the state at each checkpoint so the
+	// replica can serve state transfer and roll back tentative execution
+	// across view changes. What that costs depends on the service: a
+	// Checkpointer keeps checkpoints copy-on-write, as the paper's library
+	// did; for a plain StateMachine each one is a Snapshot, and benchmarks
+	// of the fault-free normal case may disable retention to avoid it.
 	CheckpointSnapshots bool
 
 	// ViewChangeTimeout is how long a backup waits for a pending request

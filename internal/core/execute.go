@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"bftfast/internal/crypto"
 	"bftfast/internal/message"
@@ -296,65 +297,62 @@ func (r *Replica) flushHeldReadOnly() {
 	r.pendingRO = keep
 }
 
-// clientTableDigest folds the execution-visible client state (which client
-// timestamps executed, with which results) into a digest. Only clients with
-// a stored reply participate: transient request buffering differs across
-// replicas, executed history does not.
-func (r *Replica) clientTableDigest() crypto.Digest {
-	ids := make([]int, 0, len(r.clients))
+// sortedClients returns the ids of the clients with a stored reply, in
+// ascending order, in a scratch slice that stays valid until the next call.
+// Only those clients are part of a checkpoint: transient request buffering
+// differs across replicas, executed history does not.
+func (r *Replica) sortedClients() []int32 {
+	ids := r.idScratch[:0]
 	for id, rec := range r.clients {
 		if rec.lastReply != nil {
-			ids = append(ids, int(id))
+			ids = append(ids, id)
 		}
 	}
-	sort.Ints(ids)
-	e := message.NewEncoder(len(ids) * 28)
+	slices.Sort(ids)
+	r.idScratch = ids
+	return ids
+}
+
+// checkpointDigest combines the service digest with a digest of the
+// execution-visible client state (which client timestamps executed, with
+// which results). ids is sortedClients().
+func (r *Replica) checkpointDigest(ids []int32) crypto.Digest {
+	e := r.enc.Get()
 	for _, id := range ids {
-		rec := r.clients[int32(id)]
-		e.I32(int32(id))
+		rec := r.clients[id]
+		e.I32(id)
 		e.I64(rec.lastTimestamp)
 		e.Digest(rec.lastReply.ResultD)
 	}
-	return r.suite.Digest(e.Bytes())
-}
-
-// checkpointDigest combines the service digest with the client table.
-func (r *Replica) checkpointDigest() crypto.Digest {
-	ctd := r.clientTableDigest()
+	ctd := r.suite.Digest(e.Bytes())
+	r.enc.Put(e)
 	smd := r.sm.StateDigest()
 	return r.suite.Digest(ctd[:], smd[:])
 }
 
-// encodeSnapshot serializes the full replica-visible state: the client
-// table and the service state.
-func (r *Replica) encodeSnapshot() []byte {
-	ids := make([]int, 0, len(r.clients))
-	for id, rec := range r.clients {
-		if rec.lastReply != nil {
-			ids = append(ids, int(id))
-		}
+// encodeClientTable serializes the client-table half of a checkpoint
+// snapshot. ids is sortedClients().
+func (r *Replica) encodeClientTable(ids []int32) []byte {
+	size := 4
+	for _, id := range ids {
+		size += 16 + len(r.clients[id].lastReply.Result)
 	}
-	sort.Ints(ids)
-	sm := r.sm.Snapshot()
-	e := message.NewEncoder(64 + len(ids)*64 + len(sm))
+	e := message.NewEncoder(size)
 	e.Count(len(ids))
 	for _, id := range ids {
-		rec := r.clients[int32(id)]
-		e.I32(int32(id))
+		rec := r.clients[id]
+		e.I32(id)
 		e.I64(rec.lastTimestamp)
 		e.Blob(rec.lastReply.Result)
 	}
-	e.Blob(sm)
 	return e.Bytes()
 }
 
-// restoreSnapshot replaces the replica-visible state from encodeSnapshot
-// output.
-func (r *Replica) restoreSnapshot(snap []byte) error {
-	d := message.NewDecoder(snap)
+// decodeClientTable reads what encodeClientTable wrote.
+func (r *Replica) decodeClientTable(d *message.Decoder) (map[int32]*clientRecord, error) {
 	n := d.Count()
 	if d.Err() != nil {
-		return fmt.Errorf("core: corrupt snapshot header: %w", d.Err())
+		return nil, fmt.Errorf("core: corrupt snapshot header: %w", d.Err())
 	}
 	clients := make(map[int32]*clientRecord, n)
 	for i := 0; i < n; i++ {
@@ -362,7 +360,7 @@ func (r *Replica) restoreSnapshot(snap []byte) error {
 		ts := d.I64()
 		result := d.Blob()
 		if d.Err() != nil {
-			return fmt.Errorf("core: corrupt snapshot client table: %w", d.Err())
+			return nil, fmt.Errorf("core: corrupt snapshot client table: %w", d.Err())
 		}
 		result = append([]byte(nil), result...)
 		clients[id] = &clientRecord{
@@ -377,10 +375,67 @@ func (r *Replica) restoreSnapshot(snap []byte) error {
 			},
 		}
 	}
+	return clients, nil
+}
+
+// retainCheckpoint keeps the current state as checkpoint seq: the client
+// table eagerly (it is small), the service state through cp. ids is
+// sortedClients().
+func (r *Replica) retainCheckpoint(seq int64, ids []int32) {
+	r.ckTables[seq] = r.encodeClientTable(ids)
+	r.cp.Checkpoint(seq)
+}
+
+// newestCheckpoint returns the highest retained checkpoint. Checkpoints are
+// taken on committed boundaries only, so it never exceeds
+// lastCommittedExec.
+func (r *Replica) newestCheckpoint() (seq int64, ok bool) {
+	for n := range r.ckTables {
+		if !ok || n > seq {
+			seq, ok = n, true
+		}
+	}
+	return seq, ok
+}
+
+// dropCheckpoints forgets every retained checkpoint. A state transfer
+// replaces the state they are relative to.
+func (r *Replica) dropCheckpoints() {
+	r.cp.Release(math.MaxInt64)
+	clear(r.ckTables)
+	clear(r.stChunks)
+}
+
+// snapshotAt serializes retained checkpoint seq for state transfer — the
+// client table, then the service state as one blob — or returns nil when
+// seq is not retained. This is where a Checkpointer service pays for a
+// checkpoint, and only if a peer fetches it.
+func (r *Replica) snapshotAt(seq int64) []byte {
+	table, ok := r.ckTables[seq]
+	if !ok {
+		return nil
+	}
+	sm := r.cp.SnapshotAt(seq)
+	e := message.NewEncoder(len(table) + 4 + len(sm))
+	e.Raw(table)
+	e.Blob(sm)
+	return e.Bytes()
+}
+
+// restoreSnapshot replaces the replica-visible state with a transferred
+// snapshotAt serialization. Once the service state is being replaced no
+// retained checkpoint applies to it, so they are dropped first.
+func (r *Replica) restoreSnapshot(snap []byte) error {
+	d := message.NewDecoder(snap)
+	clients, err := r.decodeClientTable(d)
+	if err != nil {
+		return err
+	}
 	smSnap := d.Blob()
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("core: corrupt snapshot: %w", err)
 	}
+	r.dropCheckpoints()
 	if err := r.sm.Restore(smSnap); err != nil {
 		return fmt.Errorf("core: restoring service state: %w", err)
 	}
@@ -388,13 +443,18 @@ func (r *Replica) restoreSnapshot(snap []byte) error {
 	return nil
 }
 
-// takeCheckpoint digests the state at batch seq, retains a snapshot when
+// takeCheckpoint digests the state at batch seq, retains it when
 // configured, and announces the checkpoint to the group.
 func (r *Replica) takeCheckpoint(seq int64) {
 	r.trace(obs.EvCheckpoint, seq, 0, 0)
-	d := r.checkpointDigest()
-	if r.cfg.CheckpointSnapshots {
-		r.snapshots[seq] = r.encodeSnapshot()
+	ids := r.sortedClients()
+	d := r.checkpointDigest(ids)
+	// A replica whose digest a quorum contradicted walks its log again
+	// from lastStable while it waits for the state transfer (checkStable);
+	// the state it passes boundaries with then is not the boundary's, and
+	// the checkpoints it retained the first time stay.
+	if newest, ok := r.newestCheckpoint(); r.cfg.CheckpointSnapshots && (!ok || seq > newest) {
+		r.retainCheckpoint(seq, ids)
 	}
 	r.recordCheckpoint(seq, int32(r.cfg.Self), d)
 	ck := &message.Checkpoint{Seq: seq, StateD: d, Replica: int32(r.cfg.Self)}
@@ -509,12 +569,13 @@ func (r *Replica) makeStable(seq int64, d crypto.Digest) {
 			delete(r.checkpoints, n)
 		}
 	}
-	for n := range r.snapshots {
+	for n := range r.ckTables {
 		if n < seq {
-			delete(r.snapshots, n)
+			delete(r.ckTables, n)
 			delete(r.stChunks, n)
 		}
 	}
+	r.cp.Release(seq)
 	for n := range r.pset {
 		if n <= seq {
 			delete(r.pset, n)

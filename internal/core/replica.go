@@ -55,6 +55,7 @@ type Replica struct {
 	env   proc.Env
 	suite *crypto.Suite
 	sm    StateMachine
+	cp    Checkpointer // sm's own capability, or the whole-state adapter around sm
 	rng   io.Reader
 
 	view          int64
@@ -85,7 +86,11 @@ type Replica struct {
 	queue     []crypto.Digest         // primary's pending request queue
 
 	checkpoints map[int64]map[int32]crypto.Digest
-	snapshots   map[int64][]byte
+	// ckTables holds the encoded client table of every retained checkpoint
+	// (the service half is retained by cp under the same sequence numbers).
+	// Its keys are the retained set: lastStable and the checkpoints taken
+	// above it, at most LogWindow/CheckpointInterval + 1 of them.
+	ckTables map[int64][]byte
 
 	pendingRO      []heldReply
 	pendingCommits []message.CommitRef // piggyback buffer
@@ -129,7 +134,15 @@ type Replica struct {
 	execResults [][]byte
 	execDigests []crypto.Digest
 
-	rec    *obs.Recorder    // nil disables tracing
+	// idScratch is the sorted client-id list a checkpoint walks for both
+	// the client-table digest and its encoding.
+	idScratch []int32
+
+	// materialized counts checkpoints serialized for a fetching peer (see
+	// chunked): with a Checkpointer service, the one O(state) pause left.
+	materialized int64
+
+	rec    *obs.Recorder     // nil disables tracing
 	phases *obs.PhaseTracker // nil disables live phase histograms
 	stats  Counters
 
@@ -191,10 +204,15 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 	for i := range instPP {
 		instPP[i] = int64(i+1) - int64(len(instPP))
 	}
+	cp, native := sm.(Checkpointer)
+	if !native {
+		cp = &wholeState{sm: sm, snaps: make(map[int64][]byte)}
+	}
 	return &Replica{
 		cfg:   cfg,
 		suite: crypto.NewSuite(keys, meter),
 		sm:    sm,
+		cp:    cp,
 		rng:   rng,
 		// Bootstrap provisioning installs keys at epoch 1; rotations must
 		// supersede it.
@@ -207,7 +225,7 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 		reqBuffer:   make(map[crypto.Digest]*bufferedRequest),
 		inFlight:    make(map[crypto.Digest]int64),
 		checkpoints: make(map[int64]map[int32]crypto.Digest),
-		snapshots:   make(map[int64][]byte),
+		ckTables:    make(map[int64][]byte),
 		pset:        make(map[int64]message.PQEntry),
 		qset:        make(map[int64]message.PQEntry),
 		vcs:         make(map[int64]map[int32]*vcRecord),
@@ -242,6 +260,8 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"view", func() int64 { return r.view })
 	reg.GaugeFunc(prefix+"last_executed", func() int64 { return r.lastExec })
 	reg.GaugeFunc(prefix+"last_stable", func() int64 { return r.lastStable })
+	reg.GaugeFunc(prefix+"checkpoint.retained", func() int64 { return int64(len(r.ckTables)) })
+	reg.GaugeFunc(prefix+"checkpoint.materialized", func() int64 { return r.materialized })
 }
 
 // View returns the replica's current view.
@@ -260,6 +280,14 @@ func (r *Replica) Instances() int { return r.cfg.groups() }
 // in its current view (see Config.LeaderOf).
 func (r *Replica) LeadsInstance(inst int) bool {
 	return inst >= 0 && inst < r.cfg.groups() && r.cfg.LeaderOf(r.view, inst) == r.cfg.Self
+}
+
+// Checkpoints reports how many checkpoints the replica retains and how many
+// it has serialized for a fetching peer (a checkpoint is materialized at
+// most once, on its first fetch). Like Stats it must run in the node's
+// event context.
+func (r *Replica) Checkpoints() (retained int, materialized int64) {
+	return len(r.ckTables), r.materialized
 }
 
 // PeerHeard appends, per replica id, the last Env.Now a status message
@@ -286,10 +314,11 @@ func (r *Replica) Init(env proc.Env) {
 	if aware, ok := r.sm.(EnvAware); ok {
 		aware.SetEnv(env)
 	}
+	ids := r.sortedClients()
 	if r.cfg.CheckpointSnapshots {
-		r.snapshots[0] = r.encodeSnapshot()
+		r.retainCheckpoint(0, ids)
 	}
-	r.stableDigest = r.checkpointDigest()
+	r.stableDigest = r.checkpointDigest(ids)
 	if r.cfg.StatusInterval > 0 {
 		env.SetTimer(timerStatus, r.cfg.StatusInterval)
 	}

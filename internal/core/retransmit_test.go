@@ -186,8 +186,10 @@ func TestSnapshotRoundTripAtReplicaLevel(t *testing.T) {
 		g.invoke(100, opAppend("k", "x"), false)
 	}
 	r := g.replicas[2]
-	want := r.checkpointDigest()
-	snap := r.encodeSnapshot()
+	ids := r.sortedClients()
+	want := r.checkpointDigest(ids)
+	r.retainCheckpoint(99, ids)
+	snap := r.snapshotAt(99)
 
 	// Restore into a sibling replica built fresh.
 	g2 := buildGroup(t, 4, []int{100}, nil)
@@ -196,7 +198,7 @@ func TestSnapshotRoundTripAtReplicaLevel(t *testing.T) {
 	if err := r2.restoreSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if r2.checkpointDigest() != want {
+	if r2.checkpointDigest(r2.sortedClients()) != want {
 		t.Fatal("restored checkpoint digest differs")
 	}
 }
@@ -226,13 +228,15 @@ func TestSnapshotPropertyRandomTables(t *testing.T) {
 				},
 			}
 		}
-		want := r.checkpointDigest()
-		snap := r.encodeSnapshot()
+		sorted := r.sortedClients()
+		want := r.checkpointDigest(sorted)
+		r.retainCheckpoint(99, sorted)
+		snap := r.snapshotAt(99)
 		r.clients = make(map[int32]*clientRecord)
 		if err := r.restoreSnapshot(snap); err != nil {
 			return false
 		}
-		return r.checkpointDigest() == want
+		return r.checkpointDigest(r.sortedClients()) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

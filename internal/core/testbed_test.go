@@ -305,9 +305,23 @@ type group struct {
 	tables   []*crypto.KeyTable
 }
 
-// buildGroup wires n replicas plus the given client ids into a cluster.
-// mutate adjusts the per-replica config (applied to each).
+// buildGroup wires n replicas plus the given client ids into a cluster,
+// each replica over a kvSM. mutate adjusts the per-replica config (applied
+// to each).
 func buildGroup(t *testing.T, n int, clientIDs []int, mutate func(*Config)) *group {
+	t.Helper()
+	sms := make([]*kvSM, n)
+	g := buildGroupSM(t, n, clientIDs, mutate, func(i int) StateMachine {
+		sms[i] = newKVSM()
+		return sms[i]
+	})
+	g.sms = sms
+	return g
+}
+
+// buildGroupSM is buildGroup over the services smFor returns (g.sms stays
+// nil).
+func buildGroupSM(t *testing.T, n int, clientIDs []int, mutate func(*Config), smFor func(i int) StateMachine) *group {
 	t.Helper()
 	c := newCluster(t)
 	rng := rand.New(rand.NewSource(7)) //nolint:gosec // deterministic test keys
@@ -331,13 +345,11 @@ func buildGroup(t *testing.T, n int, clientIDs []int, mutate func(*Config)) *gro
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		sm := newKVSM()
-		rep, err := NewReplica(cfg, sm, tables[i], nil, rand.New(rand.NewSource(int64(i)))) //nolint:gosec
+		rep, err := NewReplica(cfg, smFor(i), tables[i], nil, rand.New(rand.NewSource(int64(i)))) //nolint:gosec
 		if err != nil {
 			t.Fatal(err)
 		}
 		g.replicas = append(g.replicas, rep)
-		g.sms = append(g.sms, sm)
 		c.add(i, rep)
 	}
 	for j, id := range clientIDs {
@@ -364,15 +376,27 @@ func buildGroup(t *testing.T, n int, clientIDs []int, mutate func(*Config)) *gro
 func tracedGroup(t *testing.T, n int, clientIDs []int, mutate func(*Config)) (*group, map[int]*obs.Recorder) {
 	t.Helper()
 	recs := make(map[int]*obs.Recorder)
-	g := buildGroup(t, n, clientIDs, func(c *Config) {
+	return buildGroup(t, n, clientIDs, traceInto(recs, mutate)), recs
+}
+
+// tracedGroupSM is tracedGroup over buildGroupSM.
+func tracedGroupSM(t *testing.T, n int, clientIDs []int, mutate func(*Config), smFor func(i int) StateMachine) (*group, map[int]*obs.Recorder) {
+	t.Helper()
+	recs := make(map[int]*obs.Recorder)
+	return buildGroupSM(t, n, clientIDs, traceInto(recs, mutate), smFor), recs
+}
+
+// traceInto returns a config mutation that gives each replica a recorder,
+// files it in recs, and then applies mutate.
+func traceInto(recs map[int]*obs.Recorder, mutate func(*Config)) func(*Config) {
+	return func(c *Config) {
 		rec := obs.NewRecorder(int32(c.Self), 1<<12)
 		recs[c.Self] = rec
 		c.Trace = rec
 		if mutate != nil {
 			mutate(c)
 		}
-	})
-	return g, recs
+	}
 }
 
 // eventIndex returns the position of the first event of the given kind, or
@@ -417,9 +441,13 @@ func (g *group) agreeState(replicas ...int) {
 		}
 	}
 	base := replicas[0]
-	baseD := g.replicas[base].checkpointDigest()
+	digest := func(i int) crypto.Digest {
+		r := g.replicas[i]
+		return r.checkpointDigest(r.sortedClients())
+	}
+	baseD := digest(base)
 	for _, i := range replicas[1:] {
-		if d := g.replicas[i].checkpointDigest(); d != baseD {
+		if d := digest(i); d != baseD {
 			g.c.t.Fatalf("replica %d state digest %v != replica %d %v", i, d, base, baseD)
 		}
 	}

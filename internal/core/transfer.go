@@ -81,16 +81,18 @@ func (r *Replica) fetchBatch(seq int64) {
 	r.broadcast(f)
 }
 
-// chunked returns (building and caching on first use) the fragmentation of
-// the snapshot retained at checkpoint seq.
+// chunked returns the fragmentation of retained checkpoint seq, serializing
+// the checkpoint on its first fetch and caching the result until the
+// checkpoint is released.
 func (r *Replica) chunked(seq int64) *chunkedSnapshot {
 	if cs := r.stChunks[seq]; cs != nil {
 		return cs
 	}
-	snap, ok := r.snapshots[seq]
-	if !ok {
+	snap := r.snapshotAt(seq)
+	if snap == nil {
 		return nil
 	}
+	r.materialized++
 	cs := &chunkedSnapshot{seq: seq}
 	for off := 0; off < len(snap) || off == 0; off += fragmentSize {
 		end := off + fragmentSize
@@ -221,7 +223,8 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 		r.failTransfer(int(st.meta.Replica))
 		return
 	}
-	if r.checkpointDigest() != st.expect {
+	ids := r.sortedClients()
+	if r.checkpointDigest(ids) != st.expect {
 		// The meta (or a fragment set) was consistent but wrong: the whole
 		// source is suspect. Note the service state is now garbage; retry
 		// immediately from another source.
@@ -236,7 +239,8 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 	r.lastCommittedExec = seq
 	r.recordCheckpoint(seq, int32(r.cfg.Self), st.expect)
 	if r.cfg.CheckpointSnapshots {
-		r.snapshots[seq] = snap
+		// The restore dropped every checkpoint; seq is the state now.
+		r.retainCheckpoint(seq, ids)
 	}
 	r.makeStable(seq, st.expect)
 	// Drop buffered requests the restored state has already answered;

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 
 	"bftfast/internal/crypto"
@@ -739,30 +740,47 @@ func (r *Replica) copyBatch(s, os *slot) {
 	}
 }
 
-// rollbackTentative undoes tentative execution by restoring the last
-// stable snapshot and replaying the committed suffix. It requires
-// checkpoint snapshots; without them the replica falls back to a state
-// transfer.
+// rollbackTentative undoes tentative execution by returning to the newest
+// retained checkpoint and replaying the committed batches above it. It
+// requires checkpoint snapshots; without them — or if the rollback fails,
+// which for a checkpoint of our own is a programming error — the replica
+// refetches committed state from its peers rather than crashing the group.
 func (r *Replica) rollbackTentative() {
-	snap, ok := r.snapshots[r.lastStable]
-	if !ok {
-		// No local rollback possible: refetch committed state from peers.
-		r.lastExec = r.lastCommittedExec
+	r.lastExec = r.lastCommittedExec
+	seq, err := r.rollbackToNewest()
+	if err != nil {
 		r.beginStateTransfer(r.lastStable + r.cfg.CheckpointInterval)
 		return
 	}
-	if err := r.restoreSnapshot(snap); err != nil {
-		// The snapshot is ours; failure here is a programming error, but
-		// degrade to state transfer rather than crashing the group.
-		r.beginStateTransfer(r.lastStable + r.cfg.CheckpointInterval)
-		return
-	}
-	for n := r.lastStable + 1; n <= r.lastCommittedExec; n++ {
+	for n := seq + 1; n <= r.lastCommittedExec; n++ {
 		if s := r.log[n]; s != nil && s.resolved() {
 			r.replayBatch(s)
 		}
 	}
-	r.lastExec = r.lastCommittedExec
+}
+
+// rollbackToNewest returns the service and the client table to the newest
+// retained checkpoint and reports its sequence number. The table is decoded
+// before the service rolls back, so an error from anything but the service
+// leaves the state as it was.
+func (r *Replica) rollbackToNewest() (int64, error) {
+	seq, ok := r.newestCheckpoint()
+	if !ok {
+		return 0, errors.New("core: no checkpoint retained")
+	}
+	d := message.NewDecoder(r.ckTables[seq])
+	clients, err := r.decodeClientTable(d)
+	if err == nil {
+		err = d.Finish()
+	}
+	if err != nil {
+		return 0, err
+	}
+	if err := r.cp.RollbackTo(seq); err != nil {
+		return 0, err
+	}
+	r.clients = clients
+	return seq, nil
 }
 
 // replayBatch re-applies a committed batch after a rollback without

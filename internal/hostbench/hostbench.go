@@ -47,6 +47,9 @@ var Benchmarks = []Bench{
 	{"HistogramObserve", BenchHistogramObserve},
 	{"PhaseTrackerObserve", BenchPhaseTrackerObserve},
 	{"PrometheusRender", BenchPrometheusRender},
+	{"KVSnapshot20k", BenchKVSnapshot20k},
+	{"KVCheckpointInterval", BenchKVCheckpointInterval},
+	{"KVWrites", BenchKVWrites},
 	{"EndToEndFigure4Point", BenchEndToEndFigure4Point},
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bftfast/internal/crypto"
+	"bftfast/internal/kvservice"
 	"bftfast/internal/message"
 	"bftfast/internal/obs"
 	"bftfast/internal/sim"
@@ -150,5 +151,24 @@ func TestSimKernelSteadyStateAllocs(t *testing.T) {
 	batch() // warm-up: grows the event arena and socket rings to capacity
 	if got := testing.AllocsPerRun(5, batch); got != 0 {
 		t.Errorf("sim kernel steady state: %v allocs per 500-message batch, want 0", got)
+	}
+}
+
+// TestCheckpointRetentionAllocs pins what a retained checkpoint adds to
+// kvservice's write path: nothing, once the key has been saved under the
+// newest checkpoint — the write allocates exactly what it does on a store
+// with no checkpoint at all.
+func TestCheckpointRetentionAllocs(t *testing.T) {
+	op := kvservice.SetOp("k", "v1")
+	plain := kvservice.New()
+	plain.Execute(0, op, false)
+	base := allocs(func() { plain.Execute(0, op, false) })
+
+	marked := kvservice.New()
+	marked.Execute(0, op, false)
+	marked.Checkpoint(1)
+	marked.Execute(0, op, false) // first write after the mark saves the key
+	if got := allocs(func() { marked.Execute(0, op, false) }); got-base != 0 {
+		t.Errorf("write of a saved key under a checkpoint: %v allocs/op, %v without one; want no difference", got, base)
 	}
 }

@@ -110,6 +110,9 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// Raw appends bytes that are already encoded.
+func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
+
 // Count appends a slice-length prefix.
 func (e *Encoder) Count(n int) { e.U32(uint32(n)) }
 

@@ -31,6 +31,12 @@ type Status struct {
 	LeaderOf      []int        `json:"leader_of"` // ordering instances this node leads now
 	Peers         []PeerStatus `json:"peers,omitempty"`
 	UptimeSeconds float64      `json:"uptime_s"`
+
+	// Checkpoints the replica retains, and how many it has had to
+	// serialize because a peer fetched them: with a Checkpointer service
+	// that is the one O(state) pause left, and it is counted here.
+	CheckpointsRetained     int   `json:"checkpoints_retained"`
+	CheckpointsMaterialized int64 `json:"checkpoints_materialized"`
 }
 
 // Options configures a Server. The three closures read node state; a nil
