@@ -3,6 +3,7 @@ package bft
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -12,28 +13,17 @@ import (
 )
 
 // HostCounters reports the host-side (wall-clock) counters around a
-// replica's engine: mailbox drops, UDP receive losses, and the
-// verification pipeline's tallies. All fields are atomics underneath and
-// safe to read while the replica runs; zero values simply mean the
-// corresponding component is not in play (no UDP network, no pipeline).
+// replica's engine: mailbox drops and UDP receive losses. Both fields are
+// atomics underneath and safe to read while the replica runs; a zero value
+// simply means the corresponding component is not in play (no UDP network).
 type HostCounters struct {
 	// InboxDrops counts datagrams discarded on the replica's full
 	// channel-network mailbox. On UDP the kernel's socket buffer is the
 	// queue, and its drops are not visible here.
 	InboxDrops int64
 
-	// UDPOversized and UDPBackpressure mirror
-	// transport.UDPNetwork.Oversized and Backpressure.
-	UDPOversized    int64
-	UDPBackpressure int64
-
-	// Pool* mirror the verification pipeline's counters (zero under
-	// StartReplica, which has no pipeline).
-	PoolVerified    int64
-	PoolPassthrough int64
-	PoolRejected    int64
-	PoolDropped     int64
-	PoolQueueDepth  int64
+	// UDPOversized mirrors transport.UDPNetwork.Oversized.
+	UDPOversized int64
 }
 
 // HostStats returns the replica's host-side counters. Unlike Stats it
@@ -44,14 +34,6 @@ func (r *Replica) HostStats() HostCounters {
 	}
 	if u, ok := r.net.(*transport.UDPNetwork); ok {
 		hc.UDPOversized = u.Oversized()
-		hc.UDPBackpressure = u.Backpressure()
-	}
-	if p := r.node.Pool(); p != nil {
-		hc.PoolVerified = p.Verified()
-		hc.PoolPassthrough = p.Passthrough()
-		hc.PoolRejected = p.Rejected()
-		hc.PoolDropped = p.Dropped()
-		hc.PoolQueueDepth = p.QueueDepth()
 	}
 	return hc
 }
@@ -60,9 +42,9 @@ func (r *Replica) HostStats() HostCounters {
 // obs.Registry: engine counters and progress marks ("engine."), phase
 // histograms ("phase.", via the PhaseTracker installed in cfg), mailbox
 // health ("transport."), UDP receive losses ("udp.") when the network is
-// UDP, pipeline tallies ("verify.") when one exists, and process-level
-// gauges ("proc."). The registry and most gauges read engine fields, so
-// snapshots must run under the node's engine lock — MetricsSnapshot does.
+// UDP, and process-level gauges ("proc."). The registry and most gauges
+// read engine fields, so snapshots must run under the node's engine lock —
+// MetricsSnapshot does.
 func (r *Replica) initRegistry(reg *obs.Registry) {
 	r.reg = reg
 	r.engine.RegisterMetrics(reg, "engine.")
@@ -70,20 +52,19 @@ func (r *Replica) initRegistry(reg *obs.Registry) {
 	if u, ok := r.net.(*transport.UDPNetwork); ok {
 		u.RegisterMetrics(reg, "udp.")
 	}
-	if p := r.node.Pool(); p != nil {
-		p.RegisterMetrics(reg, "verify.")
-	}
 	reg.GaugeFunc("proc.goroutines", func() int64 { return int64(runtime.NumGoroutine()) })
 	reg.GaugeFunc("proc.uptime_seconds", func() int64 { return int64(r.node.Uptime().Seconds()) })
+	// runtime/metrics, not ReadMemStats: this gauge is read under the
+	// engine lock on every scrape, and ReadMemStats stops the world.
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	reg.GaugeFunc("proc.heap_bytes", func() int64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
+		metrics.Read(heap)
+		return int64(heap[0].Value.Uint64())
 	})
 }
 
 // MetricsSnapshot renders the replica's full metrics registry — engine,
-// phase, transport, UDP, pipeline, and process series — under the
+// phase, transport, UDP, and process series — under the
 // replica's engine lock. It fails once the replica is closed.
 func (r *Replica) MetricsSnapshot() ([]obs.Metric, error) {
 	reg := r.reg // always set by StartReplica; local copy for the closure

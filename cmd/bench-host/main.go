@@ -48,9 +48,7 @@ type report struct {
 func main() {
 	out := flag.String("out", "BENCH_host.json", "report output path")
 	compare := flag.Bool("compare", false, "compare two existing reports: bench-host -compare OLD NEW")
-	verifyWorkers := flag.Int("verify-workers", 0, "verification-pipeline worker count for the pipeline benchmarks (0 = one per core)")
 	flag.Parse()
-	hostbench.VerifyWorkers = *verifyWorkers
 
 	if *compare {
 		if flag.NArg() != 2 {

@@ -145,17 +145,3 @@ func (s *Scenario) WrapReplica(id, n int, h proc.Handler, keys *crypto.KeyTable)
 	}
 	return New(id, n, cfg, s.Seed*1_000_000+int64(id), h, keys)
 }
-
-// NumFaulty returns the number of replicas the scenario corrupts.
-func (s *Scenario) NumFaulty() int {
-	if s == nil {
-		return 0
-	}
-	c := 0
-	for _, cfg := range s.Faulty {
-		if cfg.Behavior != None {
-			c++
-		}
-	}
-	return c
-}

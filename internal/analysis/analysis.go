@@ -30,7 +30,7 @@
 // an analyzer exports facts about declarations it has seen (for example
 // "this function transitively sends") and queries them through imports
 // when analyzing downstream packages. The Runner visits packages in the
-// order given — dependency order, which Loader.LoadPatterns guarantees —
+// order given — dependency order, which Loader.LoadListed guarantees —
 // so facts are always populated before they are needed.
 //
 // # Suppressing a diagnostic
@@ -112,7 +112,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Runner applies analyzers to a sequence of packages, carrying object
 // facts across them. Packages must be presented in dependency order
 // (dependencies before dependents) for cross-package facts to resolve;
-// Loader.LoadPatterns returns packages in that order.
+// Loader.LoadListed returns packages in that order.
 type Runner struct {
 	facts *Facts
 }
@@ -183,18 +183,4 @@ func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 // RunAll applies a suite to one package with a fresh fact store.
 func RunAll(analyzers []*Analyzer, pkg *Package) ([]Diagnostic, error) {
 	return NewRunner().RunAll(analyzers, pkg)
-}
-
-// HasObjectFactFunc returns a query closure over the runner's fact store
-// for the named analyzer — the driver's enginesync check and tests use it
-// to inspect what a run exported.
-func (r *Runner) HasObjectFactFunc(analyzer, fact string) func(types.Object) bool {
-	return func(obj types.Object) bool { return r.facts.has(analyzer, fact, obj) }
-}
-
-// FactDump lists the facts one analyzer exported, for tests.
-func (r *Runner) FactDump(analyzer string) []string {
-	out := r.facts.dump(analyzer)
-	sort.Strings(out)
-	return out
 }

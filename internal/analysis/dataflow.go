@@ -117,18 +117,3 @@ func ExprKey(e ast.Expr) string {
 func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
-
-// MethodRecvNamed returns the named type of fn's receiver (through one
-// pointer), or nil when fn is not a method.
-func MethodRecvNamed(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}

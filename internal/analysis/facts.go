@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-	"go/types"
-	"strings"
-)
+import "go/types"
 
 // Facts is a cross-package fact store. An analyzer running over one
 // package can export a named fact about an object it declares (for
@@ -63,18 +59,6 @@ func (f *Facts) export(analyzer, fact string, obj types.Object) {
 func (f *Facts) has(analyzer, fact string, obj types.Object) bool {
 	k, ok := f.key(analyzer, fact, obj)
 	return ok && f.m[k]
-}
-
-// dump lists the stored facts for one analyzer (testing helper).
-func (f *Facts) dump(analyzer string) []string {
-	var out []string
-	for k := range f.m {
-		parts := strings.SplitN(k, "\x00", 4)
-		if parts[0] == analyzer {
-			out = append(out, fmt.Sprintf("%s.%s: %s", parts[1], parts[3], parts[2]))
-		}
-	}
-	return out
 }
 
 // ExportObjectFact records a named fact about an object declared in the

@@ -72,24 +72,11 @@ func List(patterns ...string) ([]ListedPackage, error) {
 	return pkgs, nil
 }
 
-// LoadPatterns loads every package matching the go-list patterns, in
-// dependency order (a package's in-pattern imports precede it), so that
-// analyzers composing through object facts see a dependency's facts
-// before its dependents. Test files are excluded: the determinism
-// contract binds engine code, while tests drive engines from goroutines
-// and wall clocks by design.
-func (l *Loader) LoadPatterns(patterns ...string) ([]*Package, error) {
-	listed, err := List(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return l.LoadListed(listed)
-}
-
-// LoadListed loads the given already-listed packages in dependency
-// order. It lets a caller that needs the go-list metadata itself (the
-// bft-vet driver's package-set check) list once and load from the same
-// result.
+// LoadListed loads the given already-listed packages in dependency order
+// (a package's listed imports precede it), so that analyzers composing
+// through object facts see a dependency's facts before its dependents.
+// Test files are excluded: the determinism contract binds engine code,
+// while tests drive engines from goroutines and wall clocks by design.
 func (l *Loader) LoadListed(listed []ListedPackage) ([]*Package, error) {
 	listed = sortByDeps(listed)
 	pkgs := make([]*Package, 0, len(listed))

@@ -100,51 +100,6 @@ func (f *forwarder) Receive(data []byte) {
 	f.inner.Receive(data)
 }
 
-// handoff stands in for the verify pipeline's envelope: a pre-decoded
-// message handed to the engine as an opaque any.
-type handoff struct {
-	client int32
-	body   []byte
-	tag    crypto.MAC
-}
-
-// verifiedEngine trusts the pipeline handoff blindly: ReceiveVerified
-// seeds with EVERY parameter tainted, so storing envelope-derived bytes
-// (or the raw data) without a verification event must fire — the analyzer
-// sees through the `any`.
-type verifiedEngine struct {
-	engine
-}
-
-func (e *verifiedEngine) ReceiveVerified(data []byte, env any) {
-	h, ok := env.(*handoff)
-	if !ok {
-		return
-	}
-	e.last[h.client] = h.body // want `unverified message bytes stored into e\.last before any crypto verification`
-	e.last[0] = data          // want `unverified message bytes stored into e\.last before any crypto verification`
-}
-
-// checkedVerifiedEngine is the contract's shape for the handoff: recheck
-// the envelope's MAC before trusting it. Silent.
-type checkedVerifiedEngine struct {
-	engine
-}
-
-func (e *checkedVerifiedEngine) ReceiveVerified(data []byte, env any) {
-	h, ok := env.(*handoff)
-	if !ok {
-		e.stats.Dropped++
-		return
-	}
-	if !crypto.VerifyMAC(e.key, h.tag, h.body) {
-		e.stats.Dropped++
-		return
-	}
-	e.last[h.client] = h.body
-	_ = data
-}
-
 // quarantine retains raw bytes pre-verification on purpose, with the
 // documented justification.
 type quarantine struct {

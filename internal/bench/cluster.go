@@ -372,6 +372,3 @@ func RunMicro(p MicroParams) MicroResult {
 	}
 	return res
 }
-
-// WrapBFT exposes the BFT submitter adapter for development tooling.
-func WrapBFT(c *core.Client) Submitter { return bftSubmitter{c} }

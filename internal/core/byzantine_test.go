@@ -9,40 +9,84 @@ import (
 )
 
 // TestForgedProtocolMessagesRejected injects protocol messages with wrong
-// authenticators; replicas must drop them all without state change.
+// authenticators, and valid messages captured from the running group with
+// one bit flipped; the replica must drop each one without state change.
 func TestForgedProtocolMessagesRejected(t *testing.T) {
 	g := buildGroup(t, 4, []int{100}, nil)
+	target := g.replicas[1]
+
+	// The first request, prepare and commit another node sent: their
+	// authenticators carry an entry for every replica, so each is valid at
+	// the target whoever it was addressed to.
+	valid := map[message.Type][]byte{}
+	g.c.observe = func(src, dst int, data []byte) {
+		switch typ := message.Type(data[0]); typ {
+		case message.TypeRequest, message.TypePrepare, message.TypeCommit:
+			if src != target.cfg.Self && valid[typ] == nil {
+				valid[typ] = append([]byte(nil), data...)
+			}
+		}
+	}
 	g.c.start()
 	g.invoke(100, opSet("a", "1"), false)
+	g.c.observe = nil
 
-	target := g.replicas[1]
-	before := target.Stats()
+	// flipped returns a copy of a captured datagram with one bit of its
+	// authenticated content flipped.
+	flipped := func(typ message.Type) []byte {
+		t.Helper()
+		m, err := message.Unmarshal(valid[typ])
+		if err != nil {
+			t.Fatalf("no valid %v captured: %v", typ, err)
+		}
+		switch msg := m.(type) {
+		case *message.Request:
+			msg.Op[0] ^= 1
+		case *message.Prepare:
+			msg.Digest[0] ^= 1
+		case *message.Commit:
+			msg.Digest[0] ^= 1
+		}
+		return message.Marshal(m)
+	}
+	auth := func(b byte) crypto.Authenticator {
+		return crypto.Authenticator{macOfByte(b), macOfByte(b), macOfByte(b), macOfByte(b)}
+	}
+
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"prepare", message.Marshal(&message.Prepare{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 2, Auth: auth(1)})},
+		{"commit", message.Marshal(&message.Commit{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 3, Auth: auth(2)})},
+		{"checkpoint", message.Marshal(&message.Checkpoint{Seq: 128, StateD: digestOfByte(9), Replica: 2, Auth: auth(3)})},
+		{"view-change", message.Marshal(&message.ViewChange{NewView: 1, Replica: 2, Auth: auth(4)})},
+		{"status", message.Marshal(&message.Status{View: 0, LastExec: 50, Replica: 3, Auth: auth(5)})},
+		{"new-key", message.Marshal(&message.NewKey{Replica: 2, Epoch: 99,
+			Keys: []message.KeyEntry{{Replica: 1, Key: crypto.Key{1}}}, Auth: auth(6)})},
+		{"request", message.Marshal(&message.Request{Client: 100, Timestamp: 99, Op: opSet("x", "y"), Auth: auth(7)})},
+		{"pre-prepare", message.Marshal(&message.PrePrepare{View: 0, Seq: 2,
+			Refs: []message.RequestRef{{Digest: digestOfByte(9)}}, Auth: auth(8)})},
+		// The target is view 1's primary, the only replica that takes acks
+		// for it; a new-view must come from another view's primary.
+		{"view-change-ack", message.Marshal(&message.ViewChangeAck{View: 1, Replica: 2, Origin: 3, VCD: digestOfByte(9), MAC: macOfByte(9)})},
+		{"new-view", message.Marshal(&message.NewView{View: 2, Auth: auth(10)})},
+		{"fetch", message.Marshal(&message.Fetch{Level: 0, Replica: 2, Auth: auth(11)})},
+		{"recovery", message.Marshal(&message.Recovery{Replica: 2, Epoch: 1, Auth: auth(12)})},
+		{"bit-flipped request", flipped(message.TypeRequest)},
+		{"bit-flipped prepare", flipped(message.TypePrepare)},
+		{"bit-flipped commit", flipped(message.TypeCommit)},
+	}
 	beforeExec := target.LastExecuted()
-
-	forged := []message.Message{
-		&message.Prepare{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 2,
-			Auth: crypto.Authenticator{macOfByte(1), macOfByte(1), macOfByte(1), macOfByte(1)}},
-		&message.Commit{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 3,
-			Auth: crypto.Authenticator{macOfByte(2), macOfByte(2), macOfByte(2), macOfByte(2)}},
-		&message.Checkpoint{Seq: 128, StateD: digestOfByte(9), Replica: 2,
-			Auth: crypto.Authenticator{macOfByte(3), macOfByte(3), macOfByte(3), macOfByte(3)}},
-		&message.ViewChange{NewView: 1, Replica: 2,
-			Auth: crypto.Authenticator{macOfByte(4), macOfByte(4), macOfByte(4), macOfByte(4)}},
-		&message.Status{View: 0, LastExec: 50, Replica: 3,
-			Auth: crypto.Authenticator{macOfByte(5), macOfByte(5), macOfByte(5), macOfByte(5)}},
-		&message.NewKey{Replica: 2, Epoch: 99,
-			Keys: []message.KeyEntry{{Replica: 1, Key: crypto.Key{1}}},
-			Auth: crypto.Authenticator{macOfByte(6), macOfByte(6), macOfByte(6), macOfByte(6)}},
-	}
-	for _, m := range forged {
-		target.Receive(message.Marshal(m))
-	}
-	after := target.Stats()
-	if got := after.DroppedMessages - before.DroppedMessages; got != int64(len(forged)) {
-		t.Fatalf("dropped %d of %d forged messages", got, len(forged))
-	}
-	if target.LastExecuted() != beforeExec || target.View() != 0 {
-		t.Fatal("forged messages changed replica state")
+	for _, tc := range cases {
+		dropped := target.Stats().DroppedMessages
+		target.Receive(tc.data)
+		if got := target.Stats().DroppedMessages - dropped; got != 1 {
+			t.Errorf("%s: DroppedMessages rose by %d, want 1", tc.name, got)
+		}
+		if target.LastExecuted() != beforeExec || target.View() != 0 {
+			t.Fatalf("%s changed replica state", tc.name)
+		}
 	}
 	// The service keeps working.
 	if res := g.invoke(100, opSet("b", "2"), false); string(res) != "ok" {

@@ -194,9 +194,6 @@ func (c *Client) Submit(op []byte, readOnly bool, done func(result []byte)) {
 	c.begin(p)
 }
 
-// Busy reports whether an operation is outstanding.
-func (c *Client) Busy() bool { return c.cur != nil }
-
 func (c *Client) begin(p *pendingOp) {
 	c.ts++
 	p.timestamp = c.ts

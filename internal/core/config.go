@@ -147,15 +147,6 @@ type Config struct {
 	// carrier message before being sent standalone.
 	CommitFlushDelay time.Duration
 
-	// BatchReplyDigests restructures batch execution into two phases:
-	// execute every request first, then digest all results through one
-	// shared hasher pass (crypto.Suite.DigestBatch) and build the replies.
-	// N replies then cost one digest-state setup instead of N. Results are
-	// identical; only the interleaving of executions and reply sends
-	// changes, so the deterministic simulator keeps it off (bit-identical
-	// event order) while the wall-clock transports enable it.
-	BatchReplyDigests bool
-
 	// Trace receives protocol trace events stamped with Env.Now time; nil
 	// disables tracing (every hook then costs a single branch). The
 	// recorder must be private to this replica: it is written from the

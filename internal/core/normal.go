@@ -6,8 +6,10 @@ import (
 	"bftfast/internal/obs"
 )
 
-// onRequest authenticates and routes a client request. raw is the encoded
-// message as received (retained for inlining into pre-prepares).
+// onRequest authenticates and routes a client request: at-most-once
+// bookkeeping, the read-only fast path, request buffering, and primary
+// queueing / backup relay. raw is the encoded message as received (retained
+// for inlining into pre-prepares).
 func (r *Replica) onRequest(req *message.Request, raw []byte) {
 	if int(req.Client) < 0 {
 		r.stats.DroppedMessages++
@@ -20,15 +22,6 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 		r.stats.DroppedMessages++
 		return
 	}
-	r.admitRequest(req, raw, d)
-}
-
-// admitRequest routes an authenticated client request: at-most-once
-// bookkeeping, the read-only fast path, request buffering, and primary
-// queueing / backup relay. Callers have already verified the request's
-// authenticator over digest d (the engine's onRequest, or the verify
-// pipeline's worker stage).
-func (r *Replica) admitRequest(req *message.Request, raw []byte, d crypto.Digest) {
 	r.trace(obs.EvRequestIn, 0, int64(req.Client), req.Timestamp)
 	rec := r.clientRec(req.Client)
 
@@ -268,7 +261,11 @@ func (r *Replica) onPrepare(p *message.Prepare) {
 		r.stats.DroppedMessages++
 		return
 	}
-	r.applyPrepare(p)
+	s := r.getSlot(p.Seq)
+	if s.addPrepare(p.Digest, p.Replica) {
+		r.applyPiggybackCommits(p.Commits, p.Replica, p.View)
+		r.advance(s)
+	}
 }
 
 // admitPrepare applies the cheap admissibility checks that precede
@@ -287,15 +284,6 @@ func (r *Replica) admitPrepare(p *message.Prepare) bool {
 	return true
 }
 
-// applyPrepare records an admitted, authenticated prepare vote.
-func (r *Replica) applyPrepare(p *message.Prepare) {
-	s := r.getSlot(p.Seq)
-	if s.addPrepare(p.Digest, p.Replica) {
-		r.applyPiggybackCommits(p.Commits, p.Replica, p.View)
-		r.advance(s)
-	}
-}
-
 // onCommit processes a commit vote.
 func (r *Replica) onCommit(c *message.Commit) {
 	if !r.admitCommit(c) {
@@ -308,7 +296,10 @@ func (r *Replica) onCommit(c *message.Commit) {
 		r.stats.DroppedMessages++
 		return
 	}
-	r.applyCommit(c)
+	s := r.getSlot(c.Seq)
+	if s.addCommit(c.Digest, c.Replica) {
+		r.advance(s)
+	}
 }
 
 // admitCommit is admitPrepare for commits (every replica but this one may
@@ -323,14 +314,6 @@ func (r *Replica) admitCommit(c *message.Commit) bool {
 		return false
 	}
 	return true
-}
-
-// applyCommit records an admitted, authenticated commit vote.
-func (r *Replica) applyCommit(c *message.Commit) {
-	s := r.getSlot(c.Seq)
-	if s.addCommit(c.Digest, c.Replica) {
-		r.advance(s)
-	}
 }
 
 // applyPiggybackCommits treats commit references carried by a pre-prepare

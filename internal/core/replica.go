@@ -126,14 +126,6 @@ type Replica struct {
 	commitScratch message.Commit
 	authScratch   crypto.Authenticator
 
-	// Batched-reply scratch (BatchReplyDigests): per-batch parallel slices
-	// of executed requests, their client records, results, and digests,
-	// reused across batches.
-	execReqs    []*message.Request
-	execRecs    []*clientRecord
-	execResults [][]byte
-	execDigests []crypto.Digest
-
 	// idScratch is the sorted client-id list a checkpoint walks for both
 	// the client-table digest and its encoding.
 	idScratch []int32
@@ -485,21 +477,4 @@ func (r *Replica) syncVCTimer(restart bool) {
 		r.env.CancelTimer(timerViewChange)
 		r.vcTimerArmed = false
 	}
-}
-
-// DebugString summarizes internal progress state (used by development
-// tooling; not part of the stable API).
-func (r *Replica) DebugString() string {
-	missing := 0
-	unresolved := 0
-	for _, s := range r.log {
-		if s.missing > 0 {
-			missing++
-		}
-		if s.havePP && !s.resolved() {
-			unresolved++
-		}
-	}
-	return fmt.Sprintf("{pp=%v exec=%d comm=%d stable=%d queue=%d buf=%d inflight=%d slotsMissing=%d unres=%d}",
-		r.instPP, r.lastExec, r.lastCommittedExec, r.lastStable, len(r.queue), len(r.reqBuffer), len(r.inFlight), missing, unresolved)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // KeyTable holds the pairwise session keys known to one node.
@@ -37,11 +36,6 @@ type KeyTable struct {
 	inState     map[int]*macState
 	outState    map[int]*macState
 	masterState map[int]*macState
-
-	// gen counts key mutations. VerifyViews cache per-sender HMAC states
-	// outside the table lock and use gen to notice rotation: a view whose
-	// generation lags discards its cache before verifying.
-	gen atomic.Uint64
 }
 
 // NewKeyTable returns an empty key table for node self.
@@ -129,7 +123,6 @@ func (t *KeyTable) RotateInbound(rng io.Reader, senders []int) (map[int]Key, err
 		t.in[s] = k
 		delete(t.inState, s)
 	}
-	t.gen.Add(1)
 	return fresh, nil
 }
 
@@ -146,7 +139,6 @@ func (t *KeyTable) SetOutbound(receiver int, k Key, epoch int64) bool {
 	t.epoch[receiver] = epoch
 	t.out[receiver] = k
 	delete(t.outState, receiver)
-	t.gen.Add(1)
 	return true
 }
 
@@ -156,15 +148,6 @@ func (t *KeyTable) Outbound(receiver int) (Key, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	k, ok := t.out[receiver]
-	return k, ok
-}
-
-// Inbound returns the key sender must have used when authenticating to this
-// node. The second result is false if no key has been issued for sender.
-func (t *KeyTable) Inbound(sender int) (Key, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	k, ok := t.in[sender]
 	return k, ok
 }
 
@@ -182,7 +165,6 @@ func (t *KeyTable) Pair(peer int, inbound, outbound Key, epoch int64) {
 	if epoch > t.epoch[peer] {
 		t.epoch[peer] = epoch
 	}
-	t.gen.Add(1)
 }
 
 // SetMaster installs the long-term pairwise key shared with peer. Master
@@ -195,7 +177,6 @@ func (t *KeyTable) SetMaster(peer int, k Key) {
 	defer t.mu.Unlock()
 	t.master[peer] = k
 	delete(t.masterState, peer)
-	t.gen.Add(1)
 }
 
 // Master returns the long-term pairwise key shared with peer.
@@ -251,7 +232,6 @@ func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
 			recv.mu.Lock()
 			recv.in[send.Self()] = k
 			delete(recv.inState, send.Self())
-			recv.gen.Add(1)
 			recv.mu.Unlock()
 			send.SetOutbound(recv.Self(), k, 1)
 

@@ -164,24 +164,12 @@ func (r *Request) ContentDigest(s *crypto.Suite) crypto.Digest {
 // ContentDigestWith is ContentDigest encoding through scratch encoder e
 // (reset first), so steady-state callers allocate nothing.
 func (r *Request) ContentDigestWith(s *crypto.Suite, e *Encoder) crypto.Digest {
-	return s.Digest(r.ContentInto(e))
-}
-
-// ContentInto encodes the request's identity content (the bytes the
-// digest and authenticator cover — Replier excluded, see the type comment)
-// into scratch encoder e (reset first) and returns the encoded bytes.
-// Callers that digest through something other than a Suite — the verify
-// pipeline hashes on worker goroutines via crypto.VerifyView — share this
-// encoding with the engine's own ContentDigestWith path.
-//
-//bftvet:allocfree
-func (r *Request) ContentInto(e *Encoder) []byte {
 	e.Reset()
 	e.I32(r.Client)
 	e.I64(r.Timestamp)
 	e.Bool(r.ReadOnly)
 	e.Blob(r.Op)
-	return e.Bytes()
+	return s.Digest(e.Bytes())
 }
 
 func (r *Request) encodeBody(e *Encoder) {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,23 +9,17 @@ import (
 	"bftfast/internal/obs"
 )
 
-// TestFlightRoundTrip writes a recorder's ring through the flight
-// recorder and reads it back with obs.ReadTrace — the BFTTRC01 dump /
-// decode pair bft-trace relies on.
+// TestFlightRoundTrip writes a recorder's ring with WriteDump and reads it
+// back with obs.ReadTrace — the BFTTRC01 dump / decode pair bft-trace
+// relies on.
 func TestFlightRoundTrip(t *testing.T) {
 	rec := obs.NewRecorder(3, 64)
 	for i := int64(1); i <= 5; i++ {
 		rec.Record(time.Duration(i)*time.Millisecond, obs.EvExecuted, i, 0, 0)
 	}
 	path := filepath.Join(t.TempDir(), "flight.bfttrc")
-	fr := NewFlightRecorder(func() []obs.Event { return rec.Events(nil) }, path)
-
-	got, err := fr.Dump()
-	if err != nil {
-		t.Fatalf("Dump: %v", err)
-	}
-	if got != path {
-		t.Errorf("Dump returned %q, want %q", got, path)
+	if err := WriteDump(path, rec.Events(nil)); err != nil {
+		t.Fatalf("WriteDump: %v", err)
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -51,9 +44,8 @@ func TestFlightRoundTrip(t *testing.T) {
 
 func TestFlightDumpEmptyRing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.bfttrc")
-	fr := NewFlightRecorder(func() []obs.Event { return nil }, path)
-	if _, err := fr.Dump(); err != nil {
-		t.Fatalf("Dump of empty ring: %v", err)
+	if err := WriteDump(path, nil); err != nil {
+		t.Fatalf("WriteDump of empty ring: %v", err)
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -66,21 +58,6 @@ func TestFlightDumpEmptyRing(t *testing.T) {
 	}
 	if len(events) != 0 {
 		t.Errorf("empty ring decoded to %d events", len(events))
-	}
-}
-
-func TestFlightDumpNoPath(t *testing.T) {
-	fr := NewFlightRecorder(func() []obs.Event { return nil }, "")
-	if _, err := fr.Dump(); err == nil {
-		t.Fatal("Dump with no path succeeded, want error")
-	}
-	// DumpTo needs no path.
-	var buf bytes.Buffer
-	if err := fr.DumpTo(&buf); err != nil {
-		t.Fatalf("DumpTo: %v", err)
-	}
-	if _, err := obs.ReadTrace(&buf); err != nil {
-		t.Fatalf("DumpTo stream not decodable: %v", err)
 	}
 }
 

@@ -58,21 +58,6 @@ type CostModel struct {
 	// output buffer + NIC ring). Bursts beyond it are tail-dropped.
 	SwitchBufferBytes int
 
-	// VerifyOffloadWorkers models the multicore host pipeline
-	// (internal/verifypool): inbound MAC verification fanned across this
-	// many cores ahead of the engine. With a value <= 1 (the default, and
-	// the paper's single-core hosts) verification is charged at full MAC
-	// cost on the engine's CPU — bit-identical to the pre-pipeline model.
-	// With W > 1 workers each verification charges VerifyOffloadFixed (the
-	// handoff: enqueue, wakeup, cache transfer of the verdict) plus 1/W of
-	// the MAC cost — the engine-visible residue of a verification that
-	// proceeded concurrently with W-1 others.
-	VerifyOffloadWorkers int
-
-	// VerifyOffloadFixed is the per-datagram handoff cost of the offloaded
-	// verification stage; only charged when VerifyOffloadWorkers > 1.
-	VerifyOffloadFixed time.Duration
-
 	// RareLossBacklog and RareLossEvery model the residual datagram loss
 	// of a receive path under sustained near-saturation (NIC-ring and IP
 	// reassembly pressure): once the standing wire backlog exceeds
@@ -133,16 +118,4 @@ func (c *CostModel) digestCost(n int) time.Duration {
 // macCost returns the CPU cost of one MAC over n bytes.
 func (c *CostModel) macCost(n int) time.Duration {
 	return c.MACFixed + time.Duration(n)*c.MACPerByte
-}
-
-// verifyCost returns the engine-CPU cost of verifying one inbound MAC
-// over n bytes: the full MAC cost on a single-core host, or the offload
-// residue when the verification pipeline is modeled (see
-// VerifyOffloadWorkers).
-func (c *CostModel) verifyCost(n int) time.Duration {
-	w := c.VerifyOffloadWorkers
-	if w <= 1 {
-		return c.macCost(n)
-	}
-	return c.VerifyOffloadFixed + c.macCost(n)/time.Duration(w)
 }

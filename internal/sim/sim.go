@@ -410,12 +410,6 @@ func (n *node) OnDigest(bytes int) { n.Charge(n.sim.cm.digestCost(bytes)) }
 // OnMAC implements crypto.Meter: charge UMAC-era authentication cost.
 func (n *node) OnMAC(bytes int) { n.Charge(n.sim.cm.macCost(bytes)) }
 
-// OnMACVerify implements crypto.VerifyMeter: charge inbound verification
-// cost, which the cost model may discount when a verification pipeline is
-// configured (VerifyOffloadWorkers). With offload disabled this equals
-// OnMAC exactly, keeping headline figures bit-identical.
-func (n *node) OnMACVerify(bytes int) { n.Charge(n.sim.cm.verifyCost(bytes)) }
-
 // Send implements proc.Env.
 func (n *node) Send(dst int, data []byte) { n.transmit([]int{dst}, data) }
 
@@ -565,10 +559,3 @@ func (n *node) CancelTimer(key int) { n.timerGen[n.timerSlot(key)]++ }
 
 // String aids debugging.
 func (n *node) String() string { return fmt.Sprintf("node(%d)", n.id) }
-
-// DebugNode reports a node's internal queue state (development tooling).
-func (s *Simulator) DebugNode(id int) string {
-	n := s.nodes[id]
-	return fmt.Sprintf("{pendingItems=%d pendingBytes=%d processing=%v cpuFree=%v ingressFree=%v egressFree=%v}",
-		n.pending.len(), n.pendingBytes, n.processing, n.cpuFree, n.ingressFree, n.egressFree)
-}

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"bftfast/internal/crypto"
 	"bftfast/internal/obs"
 	"bftfast/internal/proc"
-	"bftfast/internal/verifypool"
 )
 
 // directNet is a Network whose receive callbacks the test calls itself,
@@ -76,10 +74,9 @@ func (h *guardHandler) call(rearm int) {
 	h.inside.Store(false)
 }
 
-func (h *guardHandler) Init(env proc.Env)           { h.env = env }
-func (h *guardHandler) Receive(data []byte)         { h.call(int(data[1]) % 4 * 2) }
-func (h *guardHandler) OnTimer(key int)             { h.call(key &^ 1) }
-func (h *guardHandler) ReceiveVerified([]byte, any) { h.call(-1) }
+func (h *guardHandler) Init(env proc.Env)   { h.env = env }
+func (h *guardHandler) Receive(data []byte) { h.call(int(data[1]) % 4 * 2) }
+func (h *guardHandler) OnTimer(key int)     { h.call(key &^ 1) }
 func (h *guardHandler) check(t *testing.T, what string) {
 	t.Helper()
 	if n := h.overlaps.Load(); n != 0 {
@@ -96,72 +93,64 @@ func (h *guardHandler) check(t *testing.T, what string) {
 // TestHandlerCallsNeverOverlap hammers one node from every kind of caller
 // at once — datagrams on four goroutines, zero-delay timers, Do — closes it
 // in the middle, and checks that no two calls overlapped and none started
-// after Close returned. Both constructors share the dispatch path; the
-// pipelined one is fed a message kind the pool passes through to Receive.
+// after Close returned.
 func TestHandlerCallsNeverOverlap(t *testing.T) {
-	starts := map[string]func(h *guardHandler, net Network) (*Node, error){
-		"Start": func(h *guardHandler, net Network) (*Node, error) { return Start(0, h, net) },
-		"StartPipelined": func(h *guardHandler, net Network) (*Node, error) {
-			return StartPipelined(0, h, net, verifypool.Config{Workers: 2, Keys: crypto.NewKeyTable(0)})
-		},
-	}
-	for name, start := range starts {
-		t.Run(name, func(t *testing.T) {
-			net := newDirectNet()
-			h := &guardHandler{}
-			n, err := start(h, net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recv := net.callback(0)
+	// One subtest per constructor; Start is the only one.
+	t.Run("Start", func(t *testing.T) {
+		net := newDirectNet()
+		h := &guardHandler{}
+		n, err := Start(0, h, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recv := net.callback(0)
 
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			hammer := func(fn func(i int)) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-							fn(i)
-						}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		hammer := func(fn func(i int)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+						fn(i)
 					}
-				}()
-			}
-			for g := 0; g < 4; g++ {
-				hammer(func(i int) { recv([]byte{0xee, byte(i)}) })
-			}
-			var ranClosed atomic.Int64
-			for g := 0; g < 2; g++ {
-				hammer(func(int) {
-					ran := false
-					err := n.Do(func() { ran = true; h.call(-1) })
-					if (err == nil) != ran || (err != nil && !errors.Is(err, ErrClosed)) {
-						ranClosed.Add(1)
-					}
-				})
-			}
+				}
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			hammer(func(i int) { recv([]byte{0xee, byte(i)}) })
+		}
+		var ranClosed atomic.Int64
+		for g := 0; g < 2; g++ {
+			hammer(func(int) {
+				ran := false
+				err := n.Do(func() { ran = true; h.call(-1) })
+				if (err == nil) != ran || (err != nil && !errors.Is(err, ErrClosed)) {
+					ranClosed.Add(1)
+				}
+			})
+		}
 
-			time.Sleep(30 * time.Millisecond)
-			n.Close()
-			h.nodeClose.Store(true)
-			time.Sleep(10 * time.Millisecond) // callers keep arriving at a closed node
-			close(stop)
-			wg.Wait()
+		time.Sleep(30 * time.Millisecond)
+		n.Close()
+		h.nodeClose.Store(true)
+		time.Sleep(10 * time.Millisecond) // callers keep arriving at a closed node
+		close(stop)
+		wg.Wait()
 
-			h.check(t, name)
-			if n := ranClosed.Load(); n != 0 {
-				t.Errorf("%d Do calls disagreed with their error about having run", n)
-			}
-			ran := false
-			if err := n.Do(func() { ran = true }); !errors.Is(err, ErrClosed) || ran {
-				t.Errorf("Do after Close: err = %v, action ran = %v; want ErrClosed, false", err, ran)
-			}
-		})
-	}
+		h.check(t, "Start")
+		if n := ranClosed.Load(); n != 0 {
+			t.Errorf("%d Do calls disagreed with their error about having run", n)
+		}
+		ran := false
+		if err := n.Do(func() { ran = true }); !errors.Is(err, ErrClosed) || ran {
+			t.Errorf("Do after Close: err = %v, action ran = %v; want ErrClosed, false", err, ran)
+		}
+	})
 }
 
 // TestRearmedTimerFiresOncePerArm pins the reused-timer bookkeeping: an

@@ -2,9 +2,9 @@
 // networks in wall-clock time: an in-process channel network for tests and
 // examples, and a UDP network for multi-process deployments. Each node has
 // one engine lock: whichever goroutine holds an event for it — a socket
-// reader, a timer expiry, the verification pipeline's consumer, a caller of
-// Do — takes the lock and runs the handler to completion, so engines need no
-// locking — the same contract the simulator provides.
+// reader, a timer expiry, a caller of Do — takes the lock and runs the
+// handler to completion, so engines need no locking — the same contract the
+// simulator provides.
 package transport
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"bftfast/internal/obs"
 	"bftfast/internal/proc"
-	"bftfast/internal/verifypool"
 )
 
 // ErrClosed is returned by operations on a closed node or network.
@@ -39,25 +38,10 @@ type Network interface {
 	Unregister(id int)
 }
 
-// OwnedRegistrar is implemented by networks whose readers can hand
-// ownership of free-listed buffers to the receiver instead of copying
-// every datagram (see UDPNetwork.RegisterOwned). StartPipelined uses it
-// when available.
-type OwnedRegistrar interface {
-	// RegisterOwned installs a zero-copy receive callback: the reader
-	// draws buffers from bufs and calls recv with each datagram's buffer
-	// and length. recv returning true takes ownership of the buffer
-	// (returning it to bufs later); on false the reader keeps and reuses
-	// it.
-	RegisterOwned(id int, bufs *verifypool.BufferPool, recv func(buf []byte, n int) bool) error
-}
-
 // Node runs one handler on a network. Create with Start; stop with Close.
 type Node struct {
 	id    int
 	h     proc.Handler
-	vh    proc.VerifiedHandler // non-nil iff started with StartPipelined
-	pool  *verifypool.Pool     // non-nil iff started with StartPipelined
 	net   Network
 	start time.Time
 
@@ -145,62 +129,26 @@ func (n *Node) expire(key int, tm *nodeTimer) {
 }
 
 // Start registers the handler on the network; the goroutines the network
-// delivers on run it from then on.
+// delivers on run it from then on. Registration and the handler's Init
+// share one hold of the engine lock, so a datagram arriving the moment the
+// node is registered waits for Init. Init gets a goroutine of its own: it
+// can be slow (a replica snapshots its service for the first checkpoint),
+// and a host starting its nodes in turn should not wait out each one.
 func Start(id int, h proc.Handler, net Network) (*Node, error) {
-	n := newNode(id, h, net)
-	return n.open(func() error {
-		return net.Register(id, func(data []byte) {
-			_ = n.Do(func() { n.h.Receive(data) })
-		})
-	})
-}
-
-// StartPipelined is Start with the multicore verification pipeline in
-// front of the handler: inbound datagrams are MAC-checked and decoded on
-// pcfg.Workers goroutines (internal/verifypool) before the pool's consumer
-// hands them — still strictly serialized, still in per-sender arrival
-// order — to h.ReceiveVerified. pcfg.Deliver is set by this function;
-// pcfg.Keys must be the node's key table. Networks implementing
-// OwnedRegistrar (UDP) feed the pool zero-copy from a shared buffer
-// free-list; others fall through to the copying Submit path.
-func StartPipelined(id int, h proc.VerifiedHandler, net Network, pcfg verifypool.Config) (*Node, error) {
-	n := newNode(id, h, net)
-	n.vh = h
-	pcfg.Deliver = n.receiveEnvelope
-	pool := verifypool.New(pcfg)
-	n.pool = pool
-	n, err := n.open(func() error {
-		if or, ok := net.(OwnedRegistrar); ok {
-			return or.RegisterOwned(id, pool.Buffers(), pool.SubmitOwned)
-		}
-		return net.Register(id, func(data []byte) { pool.Submit(data) })
-	})
-	if err != nil {
-		pool.Close()
-	}
-	return n, err
-}
-
-func newNode(id int, h proc.Handler, net Network) *Node {
-	return &Node{
+	n := &Node{
 		id:     id,
 		h:      h,
 		net:    net,
 		start:  time.Now(),
 		timers: make(map[int]*nodeTimer),
 	}
-}
-
-// open registers the node and initializes its handler under one hold of
-// the engine lock, so a datagram arriving the moment the node is registered
-// waits for Init. Init gets a goroutine of its own: it can be slow (a
-// replica snapshots its service for the first checkpoint), and a host
-// starting its nodes in turn should not wait out each one.
-func (n *Node) open(register func() error) (*Node, error) {
 	n.mu.Lock()
-	if err := register(); err != nil {
+	err := net.Register(id, func(data []byte) {
+		_ = n.Do(func() { n.h.Receive(data) })
+	})
+	if err != nil {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: registering node %d: %w", n.id, err)
+		return nil, fmt.Errorf("transport: registering node %d: %w", id, err)
 	}
 	go func() {
 		defer n.mu.Unlock()
@@ -234,31 +182,6 @@ func (n *Node) Do(fn func()) error {
 	fn()
 	return nil
 }
-
-// receiveEnvelope is the pipeline's Deliver: it runs on the pool's consumer
-// goroutine (on the submitting reader when the pool has one worker), and
-// releases the envelope once the handler returns or the node refuses it.
-func (n *Node) receiveEnvelope(e *verifypool.Envelope) {
-	_ = n.Do(func() { n.handleEnvelope(e) })
-	e.Release()
-}
-
-// handleEnvelope hands one pipeline-processed datagram to the handler:
-// pre-verified envelopes take the ReceiveVerified fast path, passthrough
-// kinds the ordinary Receive path.
-//
-//bftvet:allocfree
-func (n *Node) handleEnvelope(e *verifypool.Envelope) {
-	if e.Verdict() == verifypool.VerdictVerified {
-		n.vh.ReceiveVerified(e.Bytes(), e)
-	} else {
-		n.h.Receive(e.Owned())
-	}
-}
-
-// Pool returns the node's verification pipeline, or nil when the node was
-// started with Start.
-func (n *Node) Pool() *verifypool.Pool { return n.pool }
 
 // Dropped reports how many datagrams addressed to the node were discarded
 // on a full queue in front of it. Only the channel network queues in user
@@ -315,9 +238,4 @@ func (n *Node) Close() {
 	}
 	n.mu.Unlock()
 	n.net.Unregister(n.id)
-	if n.pool != nil {
-		// Drain the pipeline after the readers stopped: in-flight
-		// envelopes reach receiveEnvelope, which releases them unrun.
-		n.pool.Close()
-	}
 }

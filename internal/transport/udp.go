@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"bftfast/internal/obs"
-	"bftfast/internal/verifypool"
 )
 
 // maxDatagram bounds UDP reads; the protocol's largest normal-case
@@ -39,8 +38,7 @@ type UDPNetwork struct {
 
 	wg sync.WaitGroup // reader goroutines
 
-	oversized    atomic.Int64
-	backpressure atomic.Int64
+	oversized atomic.Int64
 }
 
 // udpPeer is one node of the address table: where to reach it, and the
@@ -56,18 +54,17 @@ type udpPeer struct {
 // the limit needs raising in lockstep on every node.
 func (u *UDPNetwork) Oversized() int64 { return u.oversized.Load() }
 
-// Backpressure reports how many inbound datagrams the receiver refused
-// (verification pipeline saturated): the user-space analogue of a kernel
-// socket-buffer drop. Only the RegisterOwned path can refuse; plain
-// Register callbacks always accept.
-func (u *UDPNetwork) Backpressure() int64 { return u.backpressure.Load() }
+// Backpressure always reports 0: only the verification pipeline's reader
+// could refuse a datagram, and it was removed (EXPERIMENTS.md, "multicore
+// verification pipeline"). The method remains because benchmarks/ names it
+// in a local interface; it goes with the next benchmark change.
+func (u *UDPNetwork) Backpressure() int64 { return 0 }
 
-// RegisterMetrics exposes the network's drop counters under prefix
-// (e.g. "udp.") through the unified obs snapshot API. The gauges read
-// atomics and are safe to snapshot while readers run.
+// RegisterMetrics exposes the network's drop counter under prefix
+// (e.g. "udp.") through the unified obs snapshot API. The gauge reads an
+// atomic and is safe to snapshot while readers run.
 func (u *UDPNetwork) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"oversized", u.oversized.Load)
-	reg.GaugeFunc(prefix+"backpressure", u.backpressure.Load)
 }
 
 // NewUDPNetwork builds a network from a node-id to address table.
@@ -135,54 +132,6 @@ func (u *UDPNetwork) Register(id int, recv func(data []byte)) error {
 		}
 	}()
 	return nil
-}
-
-// RegisterOwned implements OwnedRegistrar: the reader draws buffers from
-// the shared free-list and transfers ownership to recv, so the hot path
-// performs no per-datagram allocation or copy (the free-list recycles
-// released buffers back to this reader).
-func (u *UDPNetwork) RegisterOwned(id int, bufs *verifypool.BufferPool, recv func(buf []byte, n int) bool) error {
-	if bufs.Size() < maxDatagram {
-		return fmt.Errorf("transport: buffer pool size %d below maxDatagram %d", bufs.Size(), maxDatagram)
-	}
-	conn, err := u.bind(id)
-	if err != nil {
-		return err
-	}
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
-		buf := bufs.Get()
-		for {
-			n, _, err := conn.ReadFromUDP(buf)
-			if err != nil {
-				bufs.Put(buf)
-				return // closed
-			}
-			if u.deliverOwned(buf, n, recv) {
-				buf = bufs.Get()
-			}
-		}
-	}()
-	return nil
-}
-
-// deliverOwned hands one free-listed datagram buffer to recv, reporting
-// whether ownership transferred. Buffer-filling (possibly truncated)
-// datagrams are dropped as oversized, like deliver; a refusal by recv is
-// backpressure — the pipeline behind it is saturated.
-//
-//bftvet:allocfree
-func (u *UDPNetwork) deliverOwned(buf []byte, n int, recv func(buf []byte, n int) bool) bool {
-	if n >= len(buf) {
-		u.oversized.Add(1)
-		return false
-	}
-	if !recv(buf, n) {
-		u.backpressure.Add(1)
-		return false
-	}
-	return true
 }
 
 // deliver copies one received datagram of length n out of the reader's
