@@ -99,9 +99,18 @@ bench-host:
 # it is the run that takes the service's own copy-on-write checkpoints
 # (core.Checkpointer) over real transport; its check includes
 # read-your-write and equal StateDigest at equal last_executed.
+#
+# The last step is a gate, not a smoke: a traced rtt-udp run must send fewer
+# than 4 standalone commit datagrams per operation (12 without piggybacked
+# commits, under 2 with the flush policy of DESIGN.md §14). It is a count
+# taken from the last line run.sh prints, so host speed does not move it.
 bench-e2e:
 	bash benchmarks/run.sh --workload rtt-udp --seed 1 --seconds 3 --trace 0
 	bash benchmarks/run.sh --workload kv-mixed-udp --seed 1 --seconds 3 --trace 0
+	@commits=$$(bash benchmarks/run.sh --workload rtt-udp --seed 1 --seconds 3 --trace 1 | tail -n 1 \
+		| sed -n 's/.*"transport\.msgs_per_op\.commit":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	echo "bench-e2e: transport.msgs_per_op.commit = $$commits (want < 4)"; \
+	awk -v c="$$commits" 'BEGIN { exit !(c != "" && c + 0 < 4) }'
 
 # Traced per-phase latency breakdown of the 0/0 benchmark, BFT vs
 # tentative-execution-off, written to breakdown.json (reduced windows).

@@ -92,6 +92,7 @@ func (r *Replica) statusz() (telemetry.Status, error) {
 			}
 		}
 		st.CheckpointsRetained, st.CheckpointsMaterialized = r.engine.Checkpoints()
+		st.Commits = r.engine.Stats().Commits
 		heard = r.engine.PeerHeard(nil)
 	})
 	if err != nil {

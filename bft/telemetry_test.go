@@ -83,7 +83,10 @@ func TestReplicaTelemetry(t *testing.T) {
 	}
 	for _, name := range []string{"bft_transport_inbox_drops", "bft_transport_inbox_depth",
 		"bft_proc_goroutines", "bft_proc_heap_bytes", "bft_engine_view",
-		"bft_engine_checkpoint_retained", "bft_engine_checkpoint_materialized"} {
+		"bft_engine_checkpoint_retained", "bft_engine_checkpoint_materialized",
+		"bft_engine_commits_piggybacked", "bft_engine_commits_standalone",
+		"bft_engine_commits_flush_held_read", "bft_engine_commits_flush_peer_commit",
+		"bft_engine_commits_flush_window", "bft_engine_commits_flush_timer"} {
 		if _, ok := series[name]; !ok {
 			t.Errorf("series %s missing from scrape", name)
 		}
@@ -94,7 +97,7 @@ func TestReplicaTelemetry(t *testing.T) {
 		t.Fatalf("/statusz status %d: %s", code, body)
 	}
 	for _, want := range []string{`"role": "replica"`, `"last_executed"`, `"peers"`,
-		`"checkpoints_retained": 1`, `"checkpoints_materialized": 0`} {
+		`"checkpoints_retained": 1`, `"checkpoints_materialized": 0`, `"commits": {`, `"flush_timer"`} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/statusz missing %s:\n%s", want, body)
 		}

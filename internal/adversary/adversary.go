@@ -27,6 +27,10 @@
 //   - DelayReorder: holds messages back for bounded pseudo-random delays,
 //     releasing them out of order and occasionally duplicated — the
 //     asynchronous-network adversary.
+//   - ForgeCommitRefs: correctly authenticated prepares whose piggybacked
+//     commit references name a wrong digest or an out-of-window sequence.
+//   - WithholdCarriers: sends no pre-prepare or prepare, so no carrier ever
+//     brings its commits; nobody may wait for one.
 //
 // The adversary signs its forgeries with the replica's own key table but
 // meters none of the cryptography: a real attacker's cycles are free to
@@ -53,6 +57,8 @@ const (
 	SpamViewChange
 	CorruptTransfer
 	DelayReorder
+	ForgeCommitRefs
+	WithholdCarriers
 )
 
 var behaviorNames = map[Behavior]string{
@@ -62,6 +68,8 @@ var behaviorNames = map[Behavior]string{
 	SpamViewChange:    "vc-spam",
 	CorruptTransfer:   "corrupt-transfer",
 	DelayReorder:      "delay-reorder",
+	ForgeCommitRefs:   "forge-refs",
+	WithholdCarriers:  "no-carriers",
 }
 
 // String returns the behavior's stable name (used in campaign tables).
@@ -72,9 +80,13 @@ func (b Behavior) String() string {
 	return "invalid"
 }
 
+// Piggybacked reports whether the behavior needs a group that piggybacks commits.
+func (b Behavior) Piggybacked() bool { return b == ForgeCommitRefs || b == WithholdCarriers }
+
 // Behaviors lists every real behavior, in campaign order.
 var Behaviors = []Behavior{
 	EquivocatePrimary, FloodGarbage, SpamViewChange, CorruptTransfer, DelayReorder,
+	ForgeCommitRefs, WithholdCarriers,
 }
 
 // Config parameterizes one faulty replica. The zero value of every knob

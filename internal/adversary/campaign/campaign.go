@@ -49,6 +49,9 @@ var minFactor = map[adversary.Behavior]float64{
 	adversary.SpamViewChange:    0.30,
 	adversary.CorruptTransfer:   0.40,
 	adversary.DelayReorder:      0.20,
+	// Quorums then need all three correct replicas; that should cost little.
+	adversary.ForgeCommitRefs:  0.50,
+	adversary.WithholdCarriers: 0.50,
 }
 
 // Params configures one campaign.
@@ -131,15 +134,19 @@ func Run(p Params) *Result {
 	res := &Result{}
 	for _, b := range adversary.Behaviors {
 		sc, faulty := scenarioFor(b, 4, p.Seed)
+		att, baseline := base, baseRes.Throughput
+		if b.Piggybacked() {
+			att.Opts.PiggybackCommits = true
+			baseline = bench.RunMicro(att).Throughput
+		}
 		row := Row{
 			Behavior:  b.String(),
 			FaultyID:  faulty,
 			MinFactor: minFactor[b],
-			Baseline:  baseRes.Throughput,
+			Baseline:  baseline,
 			Safety:    safetyRun(b, p.Seed),
 		}
 
-		att := base
 		att.WrapReplica = sc.WrapReplica
 		attRes := bench.RunMicro(att)
 		row.Attacked = attRes.Throughput
@@ -415,6 +422,7 @@ func safetyRunScenario(sc *adversary.Scenario, faulty int, seed int64, instances
 			cfg.ViewChangeTimeout = 300 * time.Millisecond
 			cfg.StatusInterval = 50 * time.Millisecond
 			cfg.Instances = instances
+			cfg.Opts.PiggybackCommits = sc.Faulty[faulty].Behavior.Piggybacked()
 			services[i] = kvservice.New()
 			rep, err := core.NewReplica(cfg, services[i], tables[i], m, nil)
 			if err != nil {

@@ -42,6 +42,8 @@ func TestSafetyRunPerBehavior(t *testing.T) {
 				adversary.FloodGarbage:      rep.Attacks.GarbageSent + rep.Attacks.StaleReplays,
 				adversary.SpamViewChange:    rep.Attacks.ViewChangesSpammed,
 				adversary.DelayReorder:      rep.Attacks.Delayed,
+				adversary.ForgeCommitRefs:   rep.Attacks.RefsForged,
+				adversary.WithholdCarriers:  rep.Attacks.CarriersWithheld,
 				// CorruptTransfer only bites when a replica falls behind and
 				// fetches; the core-level test forces that path.
 				adversary.CorruptTransfer: 1,

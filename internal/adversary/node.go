@@ -32,6 +32,8 @@ type Stats struct {
 	FragmentsCorrupted int64 // state-transfer chunks served bit-flipped
 	Delayed            int64 // messages held back
 	Duplicated         int64 // messages delivered twice
+	RefsForged         int64 `json:",omitempty"` // bogus commit refs on own prepares (omitempty: older rows' JSON stays)
+	CarriersWithheld   int64 `json:",omitempty"` // own pre-prepares and prepares never sent
 }
 
 // heldMsg is one delayed outgoing transmission.
@@ -157,8 +159,35 @@ func (a *Node) out(dsts []int, data []byte, multicast bool) {
 	case DelayReorder:
 		a.delay(dsts, data)
 		return
+	case ForgeCommitRefs:
+		data = a.forgeCommitRefs(data)
+	case WithholdCarriers:
+		if len(data) > 0 && (message.Type(data[0]) == message.TypePrePrepare || message.Type(data[0]) == message.TypePrepare) {
+			a.stats.CarriersWithheld++
+			return
+		}
 	}
 	a.env.Multicast(dsts, data)
+}
+
+// forgeCommitRefs re-issues one of our own prepares carrying two commit
+// references we have no right to — its own batch under a wrong digest, and a
+// sequence number beyond any log window — under a fresh, valid authenticator,
+// so receivers reach the references. Anything but a prepare passes through.
+func (a *Node) forgeCommitRefs(data []byte) []byte {
+	m, _ := message.Unmarshal(data) // undecodable is "not a prepare"
+	p, ok := m.(*message.Prepare)
+	if !ok {
+		return data
+	}
+	wrong := p.Digest
+	wrong[0] ^= 1
+	p.Commits = append(p.Commits, message.CommitRef{Seq: p.Seq, Digest: wrong}, message.CommitRef{Seq: p.Seq + 1<<40, Digest: p.Digest})
+	e := a.enc.Get()
+	p.Auth = a.suite.Auth(a.n, message.OrderContentWithCommitsInto(e, p.View, p.Seq, p.Digest, p.Commits))
+	a.enc.Put(e)
+	a.stats.RefsForged += 2
+	return message.MarshalWith(&a.enc, p)
 }
 
 // equivocate splits a pre-prepare multicast: a minority of the backups get

@@ -14,10 +14,11 @@ import (
 // goldenParams reproduces the exact configuration the checked-in golden
 // traces were captured with (tools/goldentrace regenerates them). Any drift
 // here breaks the comparison by construction, not by protocol change.
-func goldenParams(clients int, readOnly bool) MicroParams {
+func goldenParams(clients int, readOnly, piggyback bool) MicroParams {
 	p := DefaultMicroParams()
 	p.Clients = clients
 	p.ReadOnly = readOnly
+	p.Opts.PiggybackCommits = piggyback
 	p.Warmup = 40 * time.Millisecond
 	p.Measure = 80 * time.Millisecond
 	p.Trace = true
@@ -29,15 +30,19 @@ func goldenParams(clients int, readOnly bool) MicroParams {
 // single-leader engine's behavior bit for bit. The golden traces under
 // testdata/ were captured from the engine BEFORE the multi-instance change
 // landed, so every event — virtual timestamps included — and every headline
-// metric must match byte-for-byte.
+// metric must match byte-for-byte. golden_g1_rw_piggyback, captured when
+// the commit flush policy landed, holds the same run with piggybacked
+// commits on to the same standard.
 func TestParallelLeaderG1BitIdentical(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		clients int
-		ro      bool
+		name      string
+		clients   int
+		ro        bool
+		piggyback bool
 	}{
-		{"golden_g1_rw", 6, false},
-		{"golden_g1_ro", 4, true},
+		{"golden_g1_rw", 6, false, false},
+		{"golden_g1_ro", 4, true, false},
+		{"golden_g1_rw_piggyback", 6, false, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,7 +55,7 @@ func TestParallelLeaderG1BitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, g := range []int{0, 1} {
-				p := goldenParams(tc.clients, tc.ro)
+				p := goldenParams(tc.clients, tc.ro, tc.piggyback)
 				p.Instances = g
 				res := RunMicro(p)
 

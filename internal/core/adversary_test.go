@@ -106,3 +106,64 @@ func TestCorruptTransferSourceRejected(t *testing.T) {
 	}
 	g.agreeState()
 }
+
+// TestForgedCommitRefsCountForNothing runs a piggybacking group with a
+// backup whose prepares carry, under a valid authenticator, a commit for the
+// right batch under a wrong digest and one for a sequence number beyond any
+// window. The carriers authenticate, the references become no vote that a
+// quorum counts, and no slot appears outside the water marks.
+func TestForgedCommitRefsCountForNothing(t *testing.T) {
+	g := buildGroup(t, 4, []int{4, 5}, piggyback(true))
+	attacker := g.wrapFaulty(3, adversary.ForgeCommitRefs)
+	g.c.start()
+	for i := 0; i < 6; i++ {
+		g.invoke(4, opAppend("k", "x"), false)
+		if got := g.invoke(5, opGet("k"), true); len(got) != i+1 {
+			t.Fatalf("round %d: read %q", i, got)
+		}
+	}
+	if attacker.Stats().RefsForged == 0 {
+		t.Fatal("the backup never forged a reference")
+	}
+	for i, r := range g.replicas[:3] {
+		if d := r.Stats().DroppedMessages; d != 0 {
+			t.Errorf("replica %d dropped %d messages; the forged carriers authenticate", i, d)
+		}
+		for seq, s := range r.log {
+			if !r.inWindow(seq) {
+				t.Errorf("replica %d holds slot %d outside its water marks", i, seq)
+			}
+			for d, votes := range s.commits {
+				if d != s.batchDigest && (len(votes) != 1 || !votes[3]) {
+					t.Errorf("replica %d slot %d: votes %v for a digest that is not the batch's", i, seq, votes)
+				}
+			}
+		}
+	}
+	g.c.advance(g.commitFallback())
+	g.agreeState()
+}
+
+// TestWithheldCarriersDoNotStall: a backup that never sends a prepare gives
+// its peers no carrier to wait for and none of its commits; the three
+// correct replicas commit among themselves without waiting for the timer.
+func TestWithheldCarriersDoNotStall(t *testing.T) {
+	g := buildGroup(t, 4, []int{4, 5}, piggyback(true))
+	attacker := g.wrapFaulty(3, adversary.WithholdCarriers)
+	g.c.start()
+	start := g.c.now
+	for i := 0; i < 6; i++ {
+		g.invoke(4, opAppend("k", "x"), false)
+		if got := g.invoke(5, opGet("k"), true); len(got) != i+1 {
+			t.Fatalf("round %d: read %q", i, got)
+		}
+	}
+	if g.c.now != start {
+		t.Fatalf("twelve operations took %v of virtual time, want none: a read behind a write must not wait for a timer", g.c.now-start)
+	}
+	if attacker.Stats().CarriersWithheld == 0 {
+		t.Fatal("the backup withheld nothing")
+	}
+	g.c.advance(g.commitFallback())
+	g.agreeState(0, 1, 2)
+}

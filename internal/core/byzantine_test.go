@@ -12,7 +12,11 @@ import (
 // authenticators, and valid messages captured from the running group with
 // one bit flipped; the replica must drop each one without state change.
 func TestForgedProtocolMessagesRejected(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+	commitModes(t, testForgedProtocolMessagesRejected)
+}
+
+func testForgedProtocolMessagesRejected(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	target := g.replicas[1]
 
 	// The first request, prepare and commit another node sent: their
@@ -29,6 +33,9 @@ func TestForgedProtocolMessagesRejected(t *testing.T) {
 	}
 	g.c.start()
 	g.invoke(100, opSet("a", "1"), false)
+	// With piggybacking on, an idle group's commits leave on the fallback
+	// timer; nothing before it puts one on the wire to capture.
+	g.c.advance(g.commitFallback())
 	g.c.observe = nil
 
 	// flipped returns a copy of a captured datagram with one bit of its

@@ -33,11 +33,14 @@ func chaosSeeds(t *testing.T, defaults ...int64) []int64 {
 // network with several adversarial seeds and asserts the two core
 // guarantees: every client operation eventually completes exactly once,
 // and all correct replicas converge to identical state.
-func TestChaosLossyNetworkConverges(t *testing.T) {
+func TestChaosLossyNetworkConverges(t *testing.T) { commitModes(t, testChaosLossyNetworkConverges) }
+
+func testChaosLossyNetworkConverges(t *testing.T, pb bool) {
 	for _, seed := range chaosSeeds(t, 1, 2, 3, 4, 5, 6) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := buildGroup(t, 4, []int{100, 101}, func(c *Config) {
+				c.Opts.PiggybackCommits = pb
 				c.CheckpointInterval = 4
 				c.LogWindow = 8
 				// Suspicion must be slow relative to retransmission (the
@@ -94,8 +97,11 @@ func TestChaosLossyNetworkConverges(t *testing.T) {
 
 // TestChaosPrimaryFlapping kills and revives primaries repeatedly while a
 // client keeps issuing operations.
-func TestChaosPrimaryFlapping(t *testing.T) {
+func TestChaosPrimaryFlapping(t *testing.T) { commitModes(t, testChaosPrimaryFlapping) }
+
+func testChaosPrimaryFlapping(t *testing.T, pb bool) {
 	g := buildGroup(t, 4, []int{100}, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.CheckpointInterval = 4
 		c.LogWindow = 8
 	})
@@ -406,8 +412,13 @@ func requestWaitingFullScan(r *Replica) bool {
 // and stragglers catch up by state transfer), then a dead primary and the
 // view change that rebuilds the log and lowers maxKnownPP.
 func TestRequestWaitingMatchesFullScan(t *testing.T) {
+	commitModes(t, testRequestWaitingMatchesFullScan)
+}
+
+func testRequestWaitingMatchesFullScan(t *testing.T, pb bool) {
 	for _, seed := range chaosSeeds(t, 1, 2, 3) {
 		g := buildGroup(t, 4, []int{100, 101}, func(c *Config) {
+			c.Opts.PiggybackCommits = pb
 			c.CheckpointInterval = 4
 			c.LogWindow = 8
 		})

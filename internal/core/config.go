@@ -25,7 +25,7 @@ const (
 	timerViewChange  = 1 // liveness: pending request not executing
 	timerStatus      = 2 // periodic status broadcast when lagging
 	timerKeyRotation = 3 // periodic session-key refresh
-	timerCommitFlush = 4 // piggyback fallback: flush unsent commits
+	timerCommitFlush = 4 // piggyback idle-link fallback: flush held commits after StatusInterval/8
 	timerRecovery    = 5 // proactive recovery (extension)
 	timerBodyFetch   = 6 // grace period before fetching late separately transmitted bodies
 )
@@ -54,9 +54,10 @@ type Options struct {
 	SeparateRequests bool
 
 	// PiggybackCommits carries commit assertions inside later pre-prepare
-	// and prepare messages instead of standalone commits. Like the paper's
-	// library, this optimization covers the normal case only and defaults
-	// to off.
+	// and prepare messages, sending them standalone only when waiting for a
+	// carrier would cost latency (settleCommits). Normal case only. The
+	// paper's release shipped without it, so AllOptimizations leaves it off;
+	// the bft facade's DefaultConfig turns it on.
 	PiggybackCommits bool
 }
 
@@ -143,10 +144,6 @@ type Config struct {
 	// f recover at once.
 	RecoveryInterval time.Duration
 
-	// CommitFlushDelay bounds how long a piggybacked commit may wait for a
-	// carrier message before being sent standalone.
-	CommitFlushDelay time.Duration
-
 	// Trace receives protocol trace events stamped with Env.Now time; nil
 	// disables tracing (every hook then costs a single branch). The
 	// recorder must be private to this replica: it is written from the
@@ -175,7 +172,6 @@ func DefaultConfig(n, self int) Config {
 		CheckpointSnapshots: true,
 		ViewChangeTimeout:   500 * time.Millisecond,
 		StatusInterval:      150 * time.Millisecond,
-		CommitFlushDelay:    20 * time.Millisecond,
 	}
 }
 

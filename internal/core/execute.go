@@ -140,6 +140,12 @@ func (r *Replica) executeBatch(s *slot, tentative bool) {
 // sendReply MACs and sends a reply, honoring the digest-replies
 // designation in req.
 func (r *Replica) sendReply(req *message.Request, stored *message.Reply) {
+	r.deliverReply(r.replyFor(req, stored))
+}
+
+// replyFor shapes a stored result into this replica's reply to req: the
+// full result if req designates this replica (or all), its digest otherwise.
+func (r *Replica) replyFor(req *message.Request, stored *message.Reply) *message.Reply {
 	full := !r.cfg.Opts.DigestReplies ||
 		req.Replier == message.AllReplicas ||
 		int(req.Replier) == r.cfg.Self
@@ -155,15 +161,7 @@ func (r *Replica) sendReply(req *message.Request, stored *message.Reply) {
 	if full {
 		rep.Result = stored.Result
 	}
-	e := r.enc.Get()
-	mac, ok := r.suite.MAC(int(rep.Client), rep.AuthContentInto(e))
-	r.enc.Put(e)
-	if !ok {
-		return // no session key with this client yet
-	}
-	rep.MAC = mac
-	r.send(int(rep.Client), rep)
-	r.trace(obs.EvReplySent, 0, int64(rep.Client), rep.Timestamp)
+	return rep
 }
 
 // resendStoredReply answers a retransmitted request from the client record.
@@ -181,21 +179,7 @@ func (r *Replica) resendStoredReply(req *message.Request, rec *clientRecord) {
 func (r *Replica) executeReadOnly(req *message.Request) {
 	result := r.sm.Execute(req.Client, req.Op, true)
 	r.stats.ExecutedReadOnly++
-	resultD := r.suite.Digest(result)
-	full := !r.cfg.Opts.DigestReplies ||
-		req.Replier == message.AllReplicas ||
-		int(req.Replier) == r.cfg.Self
-	rep := &message.Reply{
-		View:      r.view,
-		Timestamp: req.Timestamp,
-		Client:    req.Client,
-		Replica:   int32(r.cfg.Self),
-		Full:      full,
-		ResultD:   resultD,
-	}
-	if full {
-		rep.Result = result
-	}
+	rep := r.replyFor(req, &message.Reply{Timestamp: req.Timestamp, Client: req.Client, Result: result, ResultD: r.suite.Digest(result)})
 	if r.lastExec > r.lastCommittedExec {
 		r.pendingRO = append(r.pendingRO, heldReply{frontier: r.lastExec, client: req.Client, reply: rep})
 		return
@@ -209,7 +193,7 @@ func (r *Replica) deliverReply(rep *message.Reply) {
 	mac, ok := r.suite.MAC(int(rep.Client), rep.AuthContentInto(e))
 	r.enc.Put(e)
 	if !ok {
-		return
+		return // no session key with this client yet
 	}
 	rep.MAC = mac
 	r.send(int(rep.Client), rep)

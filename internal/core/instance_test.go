@@ -120,8 +120,13 @@ func TestInstanceForDigest(t *testing.T) {
 // every pre-prepare for instance i's residue class was sent by instance i's
 // leader, both leaders actually ordered batches, and the replicas converge.
 func TestParallelLeadersDisjointSequences(t *testing.T) {
+	commitModes(t, testParallelLeadersDisjointSequences)
+}
+
+func testParallelLeadersDisjointSequences(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102, 103}
 	g, recs := tracedGroup(t, 4, ids, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.Instances = 2
 	})
 	g.c.start()
@@ -160,11 +165,14 @@ func TestParallelLeadersDisjointSequences(t *testing.T) {
 // delayed network must not break exactly-once execution or convergence when
 // two leaders order concurrently (gap-fill null batches, relayed requests
 // and per-instance retransmission all under fire).
-func TestParallelLeaderChaosConverges(t *testing.T) {
+func TestParallelLeaderChaosConverges(t *testing.T) { commitModes(t, testParallelLeaderChaosConverges) }
+
+func testParallelLeaderChaosConverges(t *testing.T, pb bool) {
 	for _, seed := range chaosSeeds(t, 1, 2, 3) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g := buildGroup(t, 4, []int{100, 101}, func(c *Config) {
+				c.Opts.PiggybackCommits = pb
 				c.Instances = 2
 				c.CheckpointInterval = 4
 				c.LogWindow = 8
@@ -210,8 +218,13 @@ func TestParallelLeaderChaosConverges(t *testing.T) {
 // merge across instances must preserve linearizability, including for
 // read-only fast-path reads racing writes ordered by different leaders.
 func TestLinearizabilityParallelLeaders(t *testing.T) {
+	commitModes(t, testLinearizabilityParallelLeaders)
+}
+
+func testLinearizabilityParallelLeaders(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102, 103, 104}
 	g := buildGroup(t, 4, ids, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.Instances = 2
 	})
 	g.c.start()
@@ -223,8 +236,13 @@ func TestLinearizabilityParallelLeaders(t *testing.T) {
 // change reassigns its slice: operations keep completing, the group leaves
 // view 0, and the surviving replicas converge.
 func TestParallelLeaderViewChangeReassignsSlice(t *testing.T) {
+	commitModes(t, testParallelLeaderViewChangeReassignsSlice)
+}
+
+func testParallelLeaderViewChangeReassignsSlice(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102}
 	g := buildGroup(t, 4, ids, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.Instances = 2
 	})
 	g.c.start()

@@ -70,16 +70,21 @@ func runLinearizabilityWorkload(t *testing.T, g *group, writers, readers, opsEac
 	}
 }
 
-func TestLinearizabilityHealthyGroup(t *testing.T) {
+func TestLinearizabilityHealthyGroup(t *testing.T) { commitModes(t, testLinearizabilityHealthyGroup) }
+
+func testLinearizabilityHealthyGroup(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102, 103, 104}
-	g := buildGroup(t, 4, ids, nil)
+	g := buildGroup(t, 4, ids, piggyback(pb))
 	g.c.start()
 	runLinearizabilityWorkload(t, g, 2, 3, 6)
 }
 
-func TestLinearizabilityUnderLoss(t *testing.T) {
+func TestLinearizabilityUnderLoss(t *testing.T) { commitModes(t, testLinearizabilityUnderLoss) }
+
+func testLinearizabilityUnderLoss(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102, 103, 104}
 	g := buildGroup(t, 4, ids, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.ViewChangeTimeout = time.Second
 	})
 	rng := rand.New(rand.NewSource(3)) //nolint:gosec
@@ -89,8 +94,12 @@ func TestLinearizabilityUnderLoss(t *testing.T) {
 }
 
 func TestLinearizabilityAcrossPrimaryCrash(t *testing.T) {
+	commitModes(t, testLinearizabilityAcrossPrimaryCrash)
+}
+
+func testLinearizabilityAcrossPrimaryCrash(t *testing.T, pb bool) {
 	ids := []int{100, 101, 102, 103}
-	g := buildGroup(t, 4, ids, nil)
+	g := buildGroup(t, 4, ids, piggyback(pb))
 	g.c.start()
 
 	rec := linearizability.NewRecorder()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"bftfast/internal/crypto"
 	"bftfast/internal/message"
 	"bftfast/internal/obs"
@@ -230,22 +232,22 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 func (r *Replica) onSlotResolved(s *slot) {
 	if !s.sentPrepare && !r.leadsSeq(s.seq) {
 		s.sentPrepare = true
-		prep := &message.Prepare{
-			View:    s.view,
-			Seq:     s.seq,
-			Digest:  s.batchDigest,
-			Replica: int32(r.cfg.Self),
-			Commits: r.takePiggybackCommits(),
-		}
-		e := r.enc.Get()
-		content := message.OrderContentWithCommitsInto(e, prep.View, prep.Seq, prep.Digest, prep.Commits)
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, content)
-		prep.Auth = r.authScratch
-		r.enc.Put(e)
-		r.broadcast(prep)
+		r.broadcast(r.buildPrepare(s, r.takePiggybackCommits()))
 		s.addPrepare(s.batchDigest, int32(r.cfg.Self))
 	}
 	r.advance(s)
+}
+
+// buildPrepare builds this replica's prepare for s, to be sent before the next
+// message is built (its authenticator is scratch). Retransmissions carry no commits.
+func (r *Replica) buildPrepare(s *slot, commits []message.CommitRef) *message.Prepare {
+	prep := &message.Prepare{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self), Commits: commits}
+	e := r.enc.Get()
+	content := message.OrderContentWithCommitsInto(e, prep.View, prep.Seq, prep.Digest, prep.Commits)
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, content)
+	prep.Auth = r.authScratch
+	r.enc.Put(e)
+	return prep
 }
 
 // onPrepare processes a backup's prepare vote.
@@ -345,11 +347,13 @@ func (r *Replica) advance(s *slot) {
 		}
 		s.sentCommit = true
 		s.addCommit(s.batchDigest, int32(r.cfg.Self))
-		if r.cfg.Opts.PiggybackCommits {
+		if r.cfg.Opts.PiggybackCommits && s.seq > r.holdCommitsAfter {
+			if len(r.pendingCommits) == 0 {
+				r.env.SetTimer(timerCommitFlush, r.cfg.StatusInterval/8)
+			}
 			r.pendingCommits = append(r.pendingCommits, message.CommitRef{Seq: s.seq, Digest: s.batchDigest})
-			r.env.SetTimer(timerCommitFlush, r.cfg.CommitFlushDelay)
 		} else {
-			r.sendCommit(s)
+			r.broadcast(r.buildCommit(s))
 		}
 	}
 	if s.checkCommitted(f) || s.prepared {
@@ -357,39 +361,83 @@ func (r *Replica) advance(s *slot) {
 	}
 }
 
-// sendCommit multicasts a standalone commit for s.
-func (r *Replica) sendCommit(s *slot) {
+// buildCommit builds a standalone commit for s, under buildPrepare's rule.
+func (r *Replica) buildCommit(s *slot) *message.Commit {
 	c := &message.Commit{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
 	e := r.enc.Get()
 	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentInto(e, c.View, c.Seq, c.Digest))
 	c.Auth = r.authScratch
 	r.enc.Put(e)
-	r.broadcast(c)
+	r.stats.Commits.Standalone++
+	return c
 }
 
-// takePiggybackCommits drains the piggyback buffer for attachment to an
-// outgoing pre-prepare or prepare.
+// takePiggybackCommits drains the held commits onto an outgoing carrier. The
+// result aliases the engine's buffer until the next commit is held: a prepare
+// is marshalled before that; a pre-prepare, whose refs its slot keeps, clones.
 func (r *Replica) takePiggybackCommits() []message.CommitRef {
-	if !r.cfg.Opts.PiggybackCommits || len(r.pendingCommits) == 0 {
+	out := r.pendingCommits
+	if len(out) == 0 {
 		return nil
 	}
-	out := r.pendingCommits
-	r.pendingCommits = nil
-	r.env.CancelTimer(timerCommitFlush)
+	r.stats.Commits.Piggybacked += int64(len(out))
+	r.dropPendingCommits()
 	return out
 }
 
-// flushPiggybackCommits sends buffered commits standalone when no carrier
-// message showed up in time (the paper implemented the piggyback for the
-// loaded normal case; this fallback keeps the idle case live).
-func (r *Replica) flushPiggybackCommits() {
-	refs := r.pendingCommits
-	r.pendingCommits = nil
-	for _, ref := range refs {
-		if s := r.log[ref.Seq]; s != nil && s.resolved() && s.batchDigest == ref.Digest {
-			r.sendCommit(s)
+// dropPendingCommits empties the piggyback buffer and disarms its timer.
+func (r *Replica) dropPendingCommits() {
+	r.pendingCommits = r.pendingCommits[:0]
+	r.env.CancelTimer(timerCommitFlush)
+}
+
+// settleCommits is the piggyback flush policy, run at the end of every
+// Receive. Held commits ride the next pre-prepare or prepare unless engine
+// state says someone is waiting for them: (a) a read-only reply is held
+// behind the commit frontier; (b) a held commit's slot already has another
+// replica's commit — the batch's commits are flowing and this replica
+// missed the carrier; (c) this replica leads an instance and trySendBatches
+// left requests queued — its next carrier is blocked on the commits it
+// holds. It only advances a send the fallback timer would have made.
+func (r *Replica) settleCommits() {
+	if len(r.pendingCommits) == 0 {
+		return
+	}
+	switch {
+	case len(r.pendingRO) > 0:
+		r.stats.Commits.FlushHeldRead++
+		// Reads interleave with writes, and a held commit puts a commit round
+		// on the next read's path: hold none until the next checkpoint boundary.
+		r.holdCommitsAfter = (r.lastExec/r.cfg.CheckpointInterval + 1) * r.cfg.CheckpointInterval
+	case r.peerCommitSeen():
+		r.stats.Commits.FlushPeerCommit++
+	case len(r.queue) > 0 && r.ownInstance() >= 0:
+		r.stats.Commits.FlushWindow++
+	default:
+		return
+	}
+	r.flushPiggybackCommits()
+}
+
+// peerCommitSeen reports whether the slot of a held commit has a commit
+// vote for the same batch besides this replica's own.
+func (r *Replica) peerCommitSeen() bool {
+	for _, ref := range r.pendingCommits {
+		if s := r.log[ref.Seq]; s != nil && len(s.commits[ref.Digest]) > 1 {
+			return true
 		}
 	}
+	return false
+}
+
+// flushPiggybackCommits sends the held commits standalone.
+func (r *Replica) flushPiggybackCommits() {
+	for _, ref := range r.pendingCommits {
+		if s := r.log[ref.Seq]; s != nil && s.resolved() && s.batchDigest == ref.Digest {
+			r.broadcast(r.buildCommit(s))
+		}
+	}
+	r.dropPendingCommits()
 }
 
 // trySendBatches lets an instance leader assign its slice's sequence
@@ -490,7 +538,7 @@ func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
 	}
 	e := r.enc.Get()
 	batchD := message.BatchDigestWith(r.suite, e, reqDigests)
-	pp := &message.PrePrepare{View: r.view, Seq: seq, Refs: refs, Commits: r.takePiggybackCommits()}
+	pp := &message.PrePrepare{View: r.view, Seq: seq, Refs: refs, Commits: slices.Clone(r.takePiggybackCommits())}
 	content := message.OrderContentWithCommitsInto(e, pp.View, pp.Seq, batchD, pp.Commits)
 	// The pre-prepare's authenticator is retained in the slot (s.ppAuth),
 	// so it must be freshly allocated, not scratch.

@@ -388,7 +388,11 @@ func TestPiggybackCommitsReduceStandaloneCommits(t *testing.T) {
 }
 
 func TestAtMostOnceUnderRetransmission(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+	commitModes(t, testAtMostOnceUnderRetransmission)
+}
+
+func testAtMostOnceUnderRetransmission(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	// Drop every reply to the client until virtual time passes 300ms,
 	// forcing at least one retransmission of the same request.
 	g.c.drop = func(src, dst int, data []byte) bool {
@@ -495,13 +499,18 @@ func BenchmarkEngineLargeRequests(b *testing.B) {
 // (the default) the primary executes and replies before the commit quorum
 // forms; the second subtest turns it off and the commit boundary moves in
 // front of execution — the ordering the span assembler depends on.
-func TestTraceNormalCaseCommit(t *testing.T) {
+func TestTraceNormalCaseCommit(t *testing.T) { commitModes(t, testTraceNormalCaseCommit) }
+
+func testTraceNormalCaseCommit(t *testing.T, pb bool) {
 	t.Run("tentative", func(t *testing.T) {
-		g, recs := tracedGroup(t, 4, []int{100}, nil)
+		g, recs := tracedGroup(t, 4, []int{100}, piggyback(pb))
 		g.c.start()
 		if res := g.invoke(100, opSet("a", "1"), false); string(res) != "ok" {
 			t.Fatalf("op failed: %q", res)
 		}
+		// The client has its tentative replies; the commit quorum of an idle
+		// piggybacking group forms when the fallback timer sends the votes.
+		g.c.advance(g.commitFallback())
 
 		primary := recs[0].Events(nil)
 		order := []obs.Kind{
@@ -548,6 +557,7 @@ func TestTraceNormalCaseCommit(t *testing.T) {
 
 	t.Run("no-tentative", func(t *testing.T) {
 		g, recs := tracedGroup(t, 4, []int{100}, func(c *Config) {
+			c.Opts.PiggybackCommits = pb
 			c.Opts.TentativeExecution = false
 		})
 		g.c.start()

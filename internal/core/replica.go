@@ -22,6 +22,7 @@ type Counters struct {
 	StateTransfers    int64
 	Divergences       int64 // own checkpoint digest contradicted by a quorum
 	DroppedMessages   int64 // failed authentication or malformed
+	Commits           obs.CommitCounts
 }
 
 // clientRecord implements at-most-once execution and reply retransmission
@@ -92,8 +93,9 @@ type Replica struct {
 	// above it, at most LogWindow/CheckpointInterval + 1 of them.
 	ckTables map[int64][]byte
 
-	pendingRO      []heldReply
-	pendingCommits []message.CommitRef // piggyback buffer
+	pendingRO        []heldReply
+	pendingCommits   []message.CommitRef // held for a carrier; one reused buffer, timerCommitFlush runs while non-empty
+	holdCommitsAfter int64               // commits of batches up to it are not held (settleCommits)
 
 	// View change state (see viewchange.go).
 	pset        map[int64]message.PQEntry
@@ -254,6 +256,12 @@ func (r *Replica) RegisterMetrics(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"last_stable", func() int64 { return r.lastStable })
 	reg.GaugeFunc(prefix+"checkpoint.retained", func() int64 { return int64(len(r.ckTables)) })
 	reg.GaugeFunc(prefix+"checkpoint.materialized", func() int64 { return r.materialized })
+	reg.GaugeFunc(prefix+"commits.piggybacked", func() int64 { return r.stats.Commits.Piggybacked })
+	reg.GaugeFunc(prefix+"commits.standalone", func() int64 { return r.stats.Commits.Standalone })
+	reg.GaugeFunc(prefix+"commits.flush.held_read", func() int64 { return r.stats.Commits.FlushHeldRead })
+	reg.GaugeFunc(prefix+"commits.flush.peer_commit", func() int64 { return r.stats.Commits.FlushPeerCommit })
+	reg.GaugeFunc(prefix+"commits.flush.window", func() int64 { return r.stats.Commits.FlushWindow })
+	reg.GaugeFunc(prefix+"commits.flush.timer", func() int64 { return r.stats.Commits.FlushTimer })
 }
 
 // View returns the replica's current view.
@@ -293,9 +301,6 @@ func (r *Replica) PeerHeard(dst []time.Duration) []time.Duration {
 // tests and examples).
 func (r *Replica) StateMachine() StateMachine { return r.sm }
 
-// isPrimary reports whether this replica is the primary of its view.
-func (r *Replica) isPrimary() bool { return r.cfg.PrimaryOf(r.view) == r.cfg.Self }
-
 // otherReplicas lists every replica id except this one. The returned slice
 // is cached; callers must not mutate it.
 func (r *Replica) otherReplicas() []int { return r.peers }
@@ -327,6 +332,7 @@ func (r *Replica) Init(env proc.Env) {
 
 // Receive implements proc.Handler.
 func (r *Replica) Receive(data []byte) {
+	defer r.settleCommits() // after the handlers: they may put the held commits on a carrier
 	// Fast paths for the two transient ordering messages: decode into
 	// engine-owned scratch values, reusing their slice capacity. Safe only
 	// because onPrepare/onCommit retain nothing from the message (the
@@ -401,6 +407,7 @@ func (r *Replica) OnTimer(key int) {
 		r.rotateKeys()
 		r.env.SetTimer(timerKeyRotation, r.cfg.KeyRotationInterval)
 	case timerCommitFlush:
+		r.stats.Commits.FlushTimer++
 		r.flushPiggybackCommits()
 	case timerBodyFetch:
 		r.bodyFetchArmed = false

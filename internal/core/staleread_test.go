@@ -54,11 +54,18 @@ func splitOp(op []byte) []string {
 // rule would return the old value after the new write committed; the
 // 2f+1 rule forces the client through the ordered path instead.
 func TestReadOnlyQuorumProtectsAgainstStaleReads(t *testing.T) {
+	commitModes(t, testReadOnlyQuorumProtectsAgainstStaleReads)
+}
+
+func testReadOnlyQuorumProtectsAgainstStaleReads(t *testing.T, pb bool) {
 	const n = 4
 	ids := []int{100, 101}
 	// Digest replies are off so every reply carries a full body: the test
 	// isolates the read-only quorum rule itself.
-	g := buildGroup(t, n, ids, func(c *Config) { c.Opts.DigestReplies = false })
+	g := buildGroup(t, n, ids, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
+		c.Opts.DigestReplies = false
+	})
 
 	// Replace replica 3's state machine with the stale-serving liar.
 	liar := newStaleKV()

@@ -111,20 +111,10 @@ func (r *Replica) statusTick() {
 			}
 			resent++
 			if s.sentPrepare {
-				prep := &message.Prepare{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
-				e := r.enc.Get()
-				r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentWithCommitsInto(e, prep.View, prep.Seq, prep.Digest, nil))
-				prep.Auth = r.authScratch
-				r.enc.Put(e)
-				r.broadcast(prep)
+				r.broadcast(r.buildPrepare(s, nil))
 			}
 			if s.sentCommit {
-				c := &message.Commit{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
-				e := r.enc.Get()
-				r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentInto(e, c.View, c.Seq, c.Digest))
-				c.Auth = r.authScratch
-				r.enc.Put(e)
-				r.broadcast(c)
+				r.broadcast(r.buildCommit(s))
 			}
 			// The primary re-multicasts the pre-prepare in its ORIGINAL
 			// separate-transmission shape — digests for large bodies,
@@ -139,7 +129,7 @@ func (r *Replica) statusTick() {
 			// primary egress in the 4 KB/0 microbenchmark at 200 clients,
 			// a self-sustaining collapse.
 			if r.leadsSeq(s.seq) {
-				r.resendPrePrepare(s)
+				r.broadcast(r.buildResendPP(s))
 			}
 		}
 	}
@@ -213,12 +203,6 @@ func (r *Replica) buildResendPP(s *slot) *message.PrePrepare {
 		}
 	}
 	return &message.PrePrepare{View: s.view, Seq: s.seq, Refs: refs, Commits: s.ppCommits, Auth: auth}
-}
-
-// resendPrePrepare re-multicasts a stalled batch's pre-prepare in its
-// original separate-transmission shape.
-func (r *Replica) resendPrePrepare(s *slot) {
-	r.broadcast(r.buildResendPP(s))
 }
 
 // retransmitChunkBudget bounds the inline payload of one recovery
@@ -439,21 +423,10 @@ func (r *Replica) retransmitSlot(dst int, s *slot) {
 		return
 	}
 	r.send(dst, r.buildResendPP(s))
-
 	if s.sentPrepare {
-		prep := &message.Prepare{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
-		e := r.enc.Get()
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentWithCommitsInto(e, prep.View, prep.Seq, prep.Digest, nil))
-		prep.Auth = r.authScratch
-		r.enc.Put(e)
-		r.send(dst, prep)
+		r.send(dst, r.buildPrepare(s, nil))
 	}
 	if s.sentCommit {
-		c := &message.Commit{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
-		e := r.enc.Get()
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentInto(e, c.View, c.Seq, c.Digest))
-		c.Auth = r.authScratch
-		r.enc.Put(e)
-		r.send(dst, c)
+		r.send(dst, r.buildCommit(s))
 	}
 }

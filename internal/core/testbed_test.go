@@ -371,6 +371,26 @@ func buildGroupSM(t *testing.T, n int, clientIDs []int, mutate func(*Config), sm
 	return g
 }
 
+// commitModes runs suite in the paper configuration at the top level (its
+// subtests keep their names) and again, as subtest "piggyback", with
+// piggybacked commits on — the host configuration.
+func commitModes(t *testing.T, suite func(t *testing.T, pb bool)) {
+	suite(t, false)
+	t.Run("piggyback", func(t *testing.T) { suite(t, true) })
+}
+
+// piggyback is the config mutation of a commitModes suite that needs no
+// other.
+func piggyback(on bool) func(*Config) {
+	return func(c *Config) { c.Opts.PiggybackCommits = on }
+}
+
+// commitFallback is how long the group's replicas hold a commit for a
+// carrier before the idle-link timer sends it.
+func (g *group) commitFallback() time.Duration {
+	return g.replicas[0].cfg.StatusInterval / 8
+}
+
 // tracedGroup builds a group whose replicas each record protocol events
 // into a private obs.Recorder, returned keyed by replica id.
 func tracedGroup(t *testing.T, n int, clientIDs []int, mutate func(*Config)) (*group, map[int]*obs.Recorder) {

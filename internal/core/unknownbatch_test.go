@@ -16,7 +16,11 @@ import (
 // contents from peers before it can participate — and still end with
 // identical state.
 func TestViewChangeReproposesBatchUnknownToOneReplica(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+	commitModes(t, testViewChangeReproposesBatchUnknownToOneReplica)
+}
+
+func testViewChangeReproposesBatchUnknownToOneReplica(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 
 	large := string(bytes.Repeat([]byte("v"), 2000)) // > InlineThreshold
 	phase := 0

@@ -52,7 +52,7 @@ func (r *Replica) startViewChange(newView int64) {
 	r.view = newView
 	r.inViewChange = true
 	r.pendingNV = nil
-	r.pendingCommits = nil // commit piggybacks are view-specific
+	r.dropPendingCommits() // commit piggybacks are view-specific
 
 	vc := &message.ViewChange{
 		NewView:    newView,

@@ -21,8 +21,10 @@ func (g *group) crash(node int) {
 	}
 }
 
-func TestViewChangeOnPrimaryCrash(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+func TestViewChangeOnPrimaryCrash(t *testing.T) { commitModes(t, testViewChangeOnPrimaryCrash) }
+
+func testViewChangeOnPrimaryCrash(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	g.c.start()
 	if res := g.invoke(100, opSet("a", "1"), false); string(res) != "ok" {
 		t.Fatalf("warmup failed: %q", res)
@@ -45,7 +47,11 @@ func TestViewChangeOnPrimaryCrash(t *testing.T) {
 }
 
 func TestViewChangePreservesCommittedState(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+	commitModes(t, testViewChangePreservesCommittedState)
+}
+
+func testViewChangePreservesCommittedState(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	g.c.start()
 	for i := 0; i < 10; i++ {
 		g.invoke(100, opAppend("log", fmt.Sprintf("%d,", i)), false)
@@ -69,8 +75,10 @@ func TestViewChangePreservesCommittedState(t *testing.T) {
 	g.agreeState(1, 2, 3)
 }
 
-func TestConsecutiveViewChanges(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+func TestConsecutiveViewChanges(t *testing.T) { commitModes(t, testConsecutiveViewChanges) }
+
+func testConsecutiveViewChanges(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	g.c.start()
 	g.invoke(100, opSet("a", "1"), false)
 
@@ -193,7 +201,12 @@ func TestEquivocatingPrimarySafety(t *testing.T) {
 func valuesHas(m map[string]bool, k string) bool { return m[k] }
 
 func TestStateTransferCatchesUpPartitionedReplica(t *testing.T) {
+	commitModes(t, testStateTransferCatchesUpPartitionedReplica)
+}
+
+func testStateTransferCatchesUpPartitionedReplica(t *testing.T, pb bool) {
 	g := buildGroup(t, 4, []int{100}, func(c *Config) {
+		c.Opts.PiggybackCommits = pb
 		c.CheckpointInterval = 4
 		c.LogWindow = 8
 	})
@@ -267,8 +280,10 @@ func TestProactiveRecoveryRejoins(t *testing.T) {
 
 // TestFaultyBackupCannotStall checks that a silent backup (f = 1) does not
 // impede progress: quorums of 3 suffice in a group of 4.
-func TestFaultyBackupCannotStall(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, nil)
+func TestFaultyBackupCannotStall(t *testing.T) { commitModes(t, testFaultyBackupCannotStall) }
+
+func testFaultyBackupCannotStall(t *testing.T, pb bool) {
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	g.c.start()
 	g.crash(2) // backup, not the primary
 	for i := 0; i < 8; i++ {
@@ -298,9 +313,13 @@ func TestSevenReplicasToleratesTwoFaults(t *testing.T) {
 }
 
 func TestViewChangeWithTentativeRollback(t *testing.T) {
+	commitModes(t, testViewChangeWithTentativeRollback)
+}
+
+func testViewChangeWithTentativeRollback(t *testing.T, pb bool) {
 	// Force a scenario where a tentatively executed batch must be rolled
 	// back: the client's request prepares at the primary's partition only.
-	g := buildGroup(t, 4, []int{100}, nil)
+	g := buildGroup(t, 4, []int{100}, piggyback(pb))
 	g.c.start()
 	for i := 0; i < 6; i++ {
 		g.invoke(100, opAppend("k", "x"), false)

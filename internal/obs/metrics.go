@@ -299,3 +299,13 @@ func (r *Registry) Get(name string) (Metric, bool) {
 	}
 	return Metric{}, false
 }
+
+// CommitCounts says how a replica's commit votes left it (core's settleCommits).
+type CommitCounts struct {
+	Piggybacked     int64 `json:"piggybacked"`       // votes that rode a pre-prepare or prepare
+	Standalone      int64 `json:"standalone"`        // Commit messages sent, retransmissions included
+	FlushHeldRead   int64 `json:"flush_held_read"`   // a read-only reply was waiting on the frontier
+	FlushPeerCommit int64 `json:"flush_peer_commit"` // a peer's commit for a held batch arrived first
+	FlushWindow     int64 `json:"flush_window"`      // the leader's own window was closed on them
+	FlushTimer      int64 `json:"flush_timer"`       // the idle-link fallback fired
+}

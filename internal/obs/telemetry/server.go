@@ -37,6 +37,9 @@ type Status struct {
 	// that is the one O(state) pause left, and it is counted here.
 	CheckpointsRetained     int   `json:"checkpoints_retained"`
 	CheckpointsMaterialized int64 `json:"checkpoints_materialized"`
+
+	// Commits is the piggyback policy seen from outside (replicas only).
+	Commits obs.CommitCounts `json:"commits"`
 }
 
 // Options configures a Server. The three closures read node state; a nil

@@ -2,7 +2,8 @@
 // internal/bench/testdata. The goldens anchor the parallel-leader ordering
 // extension's backward-compatibility contract (see
 // internal/bench/parallel_test.go): runs with Instances in {0, 1} must
-// reproduce them byte for byte.
+// reproduce them byte for byte. golden_g1_rw_piggyback is the 0/0 run with
+// piggybacked commits on; it moves when core.Replica.settleCommits does.
 //
 // Regenerate ONLY when an intentional engine change moves the baseline —
 // from a commit where the single-leader behavior is known-good:
@@ -26,18 +27,21 @@ func main() {
 	flag.Parse()
 
 	for _, tc := range []struct {
-		name    string
-		clients int
-		ro      bool
+		name      string
+		clients   int
+		ro        bool
+		piggyback bool
 	}{
 		// Parameters are mirrored by goldenParams in parallel_test.go; keep
 		// the two in lockstep.
-		{"golden_g1_rw", 6, false},
-		{"golden_g1_ro", 4, true},
+		{"golden_g1_rw", 6, false, false},
+		{"golden_g1_ro", 4, true, false},
+		{"golden_g1_rw_piggyback", 6, false, true},
 	} {
 		p := bench.DefaultMicroParams()
 		p.Clients = tc.clients
 		p.ReadOnly = tc.ro
+		p.Opts.PiggybackCommits = tc.piggyback
 		p.Warmup = 40 * time.Millisecond
 		p.Measure = 80 * time.Millisecond
 		p.Trace = true

@@ -109,6 +109,15 @@ for zero in bft_transport_inbox_drops bft_udp_oversized; do
         exit 1
     fi
 done
+# The commit flush policy is visible from outside: all six series exist,
+# and /statusz carries the same counts.
+for name in piggybacked standalone flush_held_read flush_peer_commit flush_window flush_timer; do
+    if ! grep -q "^bft_engine_commits_$name{" "$SCRAPE"; then
+        echo "telemetry-smoke: FAIL: series bft_engine_commits_$name missing from scrape" >&2
+        exit 1
+    fi
+done
+grep -q '"commits": {' "$OUT/statusz-0.json"
 grep -q '"role": "replica"' "$OUT/statusz-0.json"
 echo "telemetry-smoke: scrape OK ($series series, executed=$executed, phase samples=$phase_count, zero drops)"
 
