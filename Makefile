@@ -62,11 +62,15 @@ test-adversary:
 	$(GO) test -race -count=1 -run 'Equivocating|CorruptTransfer|WrapReplica' ./internal/core ./internal/bench
 
 # Short deterministic fuzz pass over every message-decode fuzz target,
-# seeded from the adversary garbage corpus (internal/adversary). CI runs
-# this as a smoke; raise FUZZTIME locally for a real session.
+# seeded from the adversary garbage corpus (internal/adversary). The list
+# is whatever `go test -list` finds, so a renamed or added target cannot
+# drop out; an empty list fails. CI runs this as a smoke; raise FUZZTIME
+# locally for a real session.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	@set -e; for f in FuzzUnmarshal FuzzDecoderPrimitives FuzzUnmarshalPrepareInto FuzzUnmarshalCommitInto FuzzUnmarshalReplyInto; do \
+	@set -e; targets=$$($(GO) test -list '^Fuzz' ./internal/message | grep '^Fuzz'); \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found in ./internal/message"; exit 1; }; \
+	for f in $$targets; do \
 		echo "--- fuzz $$f ($(FUZZTIME))"; \
 		$(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime $(FUZZTIME) ./internal/message; \
 	done

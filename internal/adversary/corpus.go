@@ -47,8 +47,9 @@ func GarbageCorpus(seed int64) [][]byte {
 	}
 
 	var out [][]byte
+	var enc message.Encoder
 	for _, m := range wellFormed {
-		b := message.Marshal(m)
+		b := message.Marshal(&enc, m)
 		out = append(out, b)
 		// Truncations: header-only, mid-body, one byte short.
 		for _, cut := range []int{1, len(b) / 2, len(b) - 1} {
@@ -77,5 +78,29 @@ func GarbageCorpus(seed int64) [][]byte {
 		[]byte{byte(message.TypePrepare), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
 		[]byte{byte(message.TypeRequest), 0x80},
 	)
-	return out
+	return append(out, CountBombs()...)
+}
+
+// CountBombs returns, for every message type with a repeated field, the
+// shortest datagram that claims message.MaxCount elements in the first such
+// field and carries none of them. Decoding runs before any MAC check, so a
+// decoder that sized an allocation by the claim would hand an
+// unauthenticated sender megabytes per 21-byte datagram.
+func CountBombs() [][]byte {
+	bomb := func(t message.Type, fixed int) []byte {
+		e := message.NewEncoder(1 + fixed + 4)
+		e.U8(uint8(t))
+		e.Raw(make([]byte, fixed))
+		e.Count(message.MaxCount)
+		return e.Bytes()
+	}
+	return [][]byte{
+		bomb(message.TypePrePrepare, 8+8),                   // view, seq | refs
+		bomb(message.TypePrepare, 8+8+crypto.DigestSize+4),  // view, seq, digest, replica | commits
+		bomb(message.TypeViewChange, 8+8+crypto.DigestSize), // new view, last stable, digest | prepared
+		bomb(message.TypeNewView, 8),                        // view | view-changes
+		bomb(message.TypeNewKey, 4+8),                       // replica, epoch | keys
+		bomb(message.TypeFetch, 4+8+8),                      // level, index, seq | missing
+		bomb(message.TypeMeta, 4+8+8),                       // level, index, seq | children
+	}
 }

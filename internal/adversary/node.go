@@ -54,7 +54,8 @@ type Node struct {
 	suite *crypto.Suite // unmetered: forging is free for the attacker
 	env   proc.Env
 	rng   *rand.Rand
-	enc   message.EncoderList
+	// contentEnc's bytes are MAC'd or hashed, wireEnc's cloned for sending.
+	contentEnc, wireEnc message.Encoder
 
 	peers    []int // every replica but self, the flood/spam target set
 	spamView int64
@@ -183,11 +184,9 @@ func (a *Node) forgeCommitRefs(data []byte) []byte {
 	wrong := p.Digest
 	wrong[0] ^= 1
 	p.Commits = append(p.Commits, message.CommitRef{Seq: p.Seq, Digest: wrong}, message.CommitRef{Seq: p.Seq + 1<<40, Digest: p.Digest})
-	e := a.enc.Get()
-	p.Auth = a.suite.Auth(a.n, message.OrderContentWithCommitsInto(e, p.View, p.Seq, p.Digest, p.Commits))
-	a.enc.Put(e)
+	p.Auth = a.suite.Auth(a.n, message.OrderContentWithCommits(&a.contentEnc, p.View, p.Seq, p.Digest, p.Commits))
 	a.stats.RefsForged += 2
-	return message.MarshalWith(&a.enc, p)
+	return message.Marshal(&a.wireEnc, p)
 }
 
 // equivocate splits a pre-prepare multicast: a minority of the backups get
@@ -206,12 +205,10 @@ func (a *Node) equivocate(dsts []int, data []byte) bool {
 		return false
 	}
 	variant := &message.PrePrepare{View: pp.View, Seq: pp.Seq}
-	e := a.enc.Get()
-	batch := message.BatchDigestWith(a.suite, e, nil)
-	content := message.OrderContentWithCommitsInto(e, variant.View, variant.Seq, batch, nil)
+	batch := message.BatchDigest(a.suite, &a.contentEnc, nil)
+	content := message.OrderContentWithCommits(&a.contentEnc, variant.View, variant.Seq, batch, nil)
 	variant.Auth = a.suite.Auth(a.n, content)
-	a.enc.Put(e)
-	vb := message.MarshalWith(&a.enc, variant)
+	vb := message.Marshal(&a.wireEnc, variant)
 
 	k := len(dsts) / 2 // original to the minority, conflict to the rest
 	a.env.Multicast(dsts[:k], data)
@@ -250,7 +247,7 @@ func (a *Node) flood() {
 				Auth:    a.garbageAuth(),
 			}
 			a.rng.Read(p.Digest[:])
-			a.env.Multicast(a.peers, message.MarshalWith(&a.enc, p))
+			a.env.Multicast(a.peers, message.Marshal(&a.wireEnc, p))
 			a.stats.GarbageSent++
 		case 2: // stale replay of own traffic
 			if len(a.stale) == 0 {
@@ -281,8 +278,8 @@ func (a *Node) spamViewChange() {
 		NewView: a.spamView,
 		Replica: int32(a.id),
 	}
-	vc.Auth = a.suite.Auth(a.n, vc.AuthContent())
-	a.env.Multicast(a.peers, message.MarshalWith(&a.enc, vc))
+	vc.Auth = a.suite.Auth(a.n, vc.AuthContent(&a.contentEnc))
+	a.env.Multicast(a.peers, message.Marshal(&a.wireEnc, vc))
 	a.spamView++
 	if a.spamView > 8 {
 		a.spamView = 1
@@ -305,7 +302,7 @@ func (a *Node) corruptFragment(data []byte) []byte {
 	}
 	frag.Data[a.rng.Intn(len(frag.Data))] ^= 1 << uint(a.rng.Intn(8))
 	a.stats.FragmentsCorrupted++
-	return message.MarshalWith(&a.enc, frag)
+	return message.Marshal(&a.wireEnc, frag)
 }
 
 // delay holds roughly half of outbound traffic back for a bounded

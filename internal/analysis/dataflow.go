@@ -113,7 +113,7 @@ func ExprKey(e ast.Expr) string {
 }
 
 // IsPkgFunc reports whether fn is the named package-level function, e.g.
-// IsPkgFunc(fn, "bftfast/internal/message", "MarshalWith").
+// IsPkgFunc(fn, "bftfast/internal/message", "Marshal").
 func IsPkgFunc(fn *types.Func, pkgPath, name string) bool {
 	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
 }

@@ -7,7 +7,7 @@
 // Taint enters at proc.Handler Receive([]byte) methods of types in
 // engine packages (detcheck.EnginePackages). It propagates through
 // assignments, decoder results, pointer out-arguments of calls that see
-// tainted data (message.Unmarshal*Into decoding into engine-owned
+// tainted data (message.UnmarshalInto decoding into engine-owned
 // scratch), and type-switch bindings, and it follows calls into
 // package-local functions (the worklist re-walks the callee with the
 // corresponding parameters tainted).
@@ -15,7 +15,7 @@
 // A function's walk is armed until it meets a verification event:
 //
 //   - a call into bftfast/internal/crypto whose name starts with Verify
-//     (VerifyMAC, VerifyEntry, Suite.VerifyAuth, ...)
+//     (VerifySingle, VerifyEntry, Suite.VerifyAuth, ...)
 //   - an == or != comparison of crypto.Digest values (content validated
 //     against an already-trusted digest)
 //   - a call to any function that transitively performs one of the above

@@ -11,7 +11,7 @@ import (
 )
 
 type engine struct {
-	key    crypto.Key
+	keys   *crypto.KeyTable
 	last   map[int32][]byte
 	acks   int64
 	inner  proc.Handler
@@ -53,7 +53,7 @@ func (e *engine) checked(data []byte) {
 	if d.Finish() != nil {
 		return
 	}
-	if !crypto.VerifyMAC(e.key, tag, body) {
+	if !crypto.VerifySingle(e.keys, int(client), tag, body) {
 		e.stats.Dropped++
 		return
 	}

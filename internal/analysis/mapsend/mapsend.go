@@ -25,7 +25,7 @@
 // summarizes every function it sees ("transitively sends") and exports
 // the summary as an object fact, so a map walk that calls a helper — even
 // one declared in another, earlier-analyzed package — is still caught.
-// Wire encodings (message.Marshal, message.MarshalWith) count as sinks
+// Wire encodings (message.Marshal, message.EncodeTo) count as sinks
 // too: bytes laid out in map order are nondeterministic even when the
 // send happens after the loop.
 //
@@ -179,9 +179,9 @@ func isForeignSink(pass *analysis.Pass, callee *types.Func) bool {
 	return pass.HasObjectFact(callee, sendsFact)
 }
 
-// isMarshal reports whether fn is one of the message package's
-// wire-buffer producers.
+// isMarshal reports whether fn is one of the message package's two
+// wire-format producers: the owned-buffer form or the scratch-aliasing one.
 func isMarshal(fn *types.Func) bool {
 	return analysis.IsPkgFunc(fn, "bftfast/internal/message", "Marshal") ||
-		analysis.IsPkgFunc(fn, "bftfast/internal/message", "MarshalWith")
+		analysis.IsPkgFunc(fn, "bftfast/internal/message", "EncodeTo")
 }

@@ -48,8 +48,12 @@ func (e *engine) resendVia(n int64) { e.resend(n) }
 // Violation: wire bytes laid out in map order, sent after the loop.
 func (e *engine) encodeInOrder(reqs map[int32]*message.Request) {
 	var out []byte
+	var enc message.Encoder
 	for _, req := range reqs {
-		out = append(out, message.Marshal(req)...) // want `wire encoding \(message\.Marshal\) inside iteration over a map`
+		out = append(out, message.Marshal(&enc, req)...) // want `wire encoding \(message\.Marshal\) inside iteration over a map`
+	}
+	for _, req := range reqs {
+		out = append(out, message.EncodeTo(&enc, req)...) // want `wire encoding \(message\.EncodeTo\) inside iteration over a map`
 	}
 	e.env.Send(0, out)
 }

@@ -54,7 +54,7 @@ func testForgedProtocolMessagesRejected(t *testing.T, pb bool) {
 		case *message.Commit:
 			msg.Digest[0] ^= 1
 		}
-		return message.Marshal(m)
+		return message.Marshal(new(message.Encoder), m)
 	}
 	auth := func(b byte) crypto.Authenticator {
 		return crypto.Authenticator{macOfByte(b), macOfByte(b), macOfByte(b), macOfByte(b)}
@@ -64,22 +64,22 @@ func testForgedProtocolMessagesRejected(t *testing.T, pb bool) {
 		name string
 		data []byte
 	}{
-		{"prepare", message.Marshal(&message.Prepare{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 2, Auth: auth(1)})},
-		{"commit", message.Marshal(&message.Commit{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 3, Auth: auth(2)})},
-		{"checkpoint", message.Marshal(&message.Checkpoint{Seq: 128, StateD: digestOfByte(9), Replica: 2, Auth: auth(3)})},
-		{"view-change", message.Marshal(&message.ViewChange{NewView: 1, Replica: 2, Auth: auth(4)})},
-		{"status", message.Marshal(&message.Status{View: 0, LastExec: 50, Replica: 3, Auth: auth(5)})},
-		{"new-key", message.Marshal(&message.NewKey{Replica: 2, Epoch: 99,
+		{"prepare", message.Marshal(new(message.Encoder), &message.Prepare{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 2, Auth: auth(1)})},
+		{"commit", message.Marshal(new(message.Encoder), &message.Commit{View: 0, Seq: 2, Digest: digestOfByte(9), Replica: 3, Auth: auth(2)})},
+		{"checkpoint", message.Marshal(new(message.Encoder), &message.Checkpoint{Seq: 128, StateD: digestOfByte(9), Replica: 2, Auth: auth(3)})},
+		{"view-change", message.Marshal(new(message.Encoder), &message.ViewChange{NewView: 1, Replica: 2, Auth: auth(4)})},
+		{"status", message.Marshal(new(message.Encoder), &message.Status{View: 0, LastExec: 50, Replica: 3, Auth: auth(5)})},
+		{"new-key", message.Marshal(new(message.Encoder), &message.NewKey{Replica: 2, Epoch: 99,
 			Keys: []message.KeyEntry{{Replica: 1, Key: crypto.Key{1}}}, Auth: auth(6)})},
-		{"request", message.Marshal(&message.Request{Client: 100, Timestamp: 99, Op: opSet("x", "y"), Auth: auth(7)})},
-		{"pre-prepare", message.Marshal(&message.PrePrepare{View: 0, Seq: 2,
+		{"request", message.Marshal(new(message.Encoder), &message.Request{Client: 100, Timestamp: 99, Op: opSet("x", "y"), Auth: auth(7)})},
+		{"pre-prepare", message.Marshal(new(message.Encoder), &message.PrePrepare{View: 0, Seq: 2,
 			Refs: []message.RequestRef{{Digest: digestOfByte(9)}}, Auth: auth(8)})},
 		// The target is view 1's primary, the only replica that takes acks
 		// for it; a new-view must come from another view's primary.
-		{"view-change-ack", message.Marshal(&message.ViewChangeAck{View: 1, Replica: 2, Origin: 3, VCD: digestOfByte(9), MAC: macOfByte(9)})},
-		{"new-view", message.Marshal(&message.NewView{View: 2, Auth: auth(10)})},
-		{"fetch", message.Marshal(&message.Fetch{Level: 0, Replica: 2, Auth: auth(11)})},
-		{"recovery", message.Marshal(&message.Recovery{Replica: 2, Epoch: 1, Auth: auth(12)})},
+		{"view-change-ack", message.Marshal(new(message.Encoder), &message.ViewChangeAck{View: 1, Replica: 2, Origin: 3, VCD: digestOfByte(9), MAC: macOfByte(9)})},
+		{"new-view", message.Marshal(new(message.Encoder), &message.NewView{View: 2, Auth: auth(10)})},
+		{"fetch", message.Marshal(new(message.Encoder), &message.Fetch{Level: 0, Replica: 2, Auth: auth(11)})},
+		{"recovery", message.Marshal(new(message.Encoder), &message.Recovery{Replica: 2, Epoch: 1, Auth: auth(12)})},
 		{"bit-flipped request", flipped(message.TypeRequest)},
 		{"bit-flipped prepare", flipped(message.TypePrepare)},
 		{"bit-flipped commit", flipped(message.TypeCommit)},
@@ -169,7 +169,7 @@ func TestStateTransferSurvivesLyingSource(t *testing.T) {
 			}
 			frag.Data[0] ^= 0xFF
 			corrupted++
-			return message.Marshal(frag)
+			return message.Marshal(new(message.Encoder), frag)
 		}
 		return data
 	}
@@ -204,10 +204,10 @@ func TestStaleViewSpamIgnored(t *testing.T) {
 	// Craft a VC for view 1 (stale) from replica 2's real keys.
 	suite := crypto.NewSuite(g.tables[2], nil)
 	vc := &message.ViewChange{NewView: 1, LastStable: 0, Replica: 2}
-	vcd := suite.Digest(vc.AuthContent())
+	vcd := suite.Digest(vc.AuthContent(new(message.Encoder)))
 	vc.Auth = suite.Auth(4, vcd[:])
 	for i := 0; i < 10; i++ {
-		g.replicas[1].Receive(message.Marshal(vc))
+		g.replicas[1].Receive(message.Marshal(new(message.Encoder), vc))
 	}
 	g.c.pump()
 	if g.replicas[1].View() != viewBefore || g.replicas[1].inViewChange {
@@ -233,8 +233,8 @@ func TestEquivocatingCheckpoints(t *testing.T) {
 	suite := crypto.NewSuite(g.tables[3], nil)
 	for _, b := range []byte{7, 8} {
 		ck := &message.Checkpoint{Seq: 8, StateD: digestOfByte(b), Replica: 3}
-		ck.Auth = suite.Auth(4, ck.AuthContent())
-		r.Receive(message.Marshal(ck))
+		ck.Auth = suite.Auth(4, ck.AuthContent(new(message.Encoder)))
+		r.Receive(message.Marshal(new(message.Encoder), ck))
 	}
 	if got := len(r.checkpoints[8]); got > 1 {
 		votes := 0

@@ -102,10 +102,13 @@ type Client struct {
 	// the overload — congestion collapse.
 	srtt time.Duration
 
-	// Hot-path scratch state (the engine is single-threaded): a reusable
-	// encoder list, the cached all-replicas destination slice, a reusable
-	// request authenticator, and a decode-into reply.
-	enc          message.EncoderList
+	// Hot-path scratch state (the engine is single-threaded): the two
+	// encoders (contentEnc's bytes are hashed or MAC'd, never sent;
+	// wireEnc's are cloned once for Env.Send), the cached all-replicas
+	// destination slice, a reusable request authenticator, and a
+	// decode-into reply.
+	contentEnc   message.Encoder
+	wireEnc      message.Encoder
 	all          []int
 	authScratch  crypto.Authenticator
 	replyScratch message.Reply
@@ -229,12 +232,10 @@ func (c *Client) transmit(p *pendingOp, retransmit bool) {
 	if retransmit {
 		req.Replier = message.AllReplicas
 	}
-	e := c.enc.Get()
-	d := req.ContentDigestWith(c.suite, e)
+	d := req.ContentDigest(c.suite, &c.contentEnc)
 	c.authScratch = c.suite.AuthInto(c.authScratch, c.cfg.N, d[:])
 	req.Auth = c.authScratch
-	raw := message.MarshalWith(&c.enc, req)
-	c.enc.Put(e)
+	raw := message.Marshal(&c.wireEnc, req)
 
 	switch {
 	case retransmit, req.ReadOnly:
@@ -270,7 +271,7 @@ func (c *Client) leaderFor(d crypto.Digest) int {
 // accepts — decode into a reused scratch value; the retained Result bytes
 // alias data, which the engine owns.
 func (c *Client) Receive(data []byte) {
-	if err := message.UnmarshalReplyInto(data, &c.replyScratch); err != nil {
+	if err := message.UnmarshalInto(data, &c.replyScratch); err != nil {
 		c.stats.Rejected++
 		return
 	}
@@ -287,10 +288,7 @@ func (c *Client) onReply(rep *message.Reply) {
 		c.stats.Rejected++
 		return
 	}
-	e := c.enc.Get()
-	authOK := c.suite.VerifyMAC(sender, rep.MAC, rep.AuthContentInto(e))
-	c.enc.Put(e)
-	if !authOK {
+	if !c.suite.VerifyMAC(sender, rep.MAC, rep.AuthContent(&c.contentEnc)) {
 		c.stats.Rejected++
 		return
 	}

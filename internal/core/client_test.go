@@ -76,12 +76,12 @@ func (h *clientHarness) reply(replica int, ts int64, result []byte, tentative, f
 		rep.Result = result
 	}
 	suite := crypto.NewSuite(h.tables[replica], nil)
-	mac, ok := suite.MAC(100, rep.AuthContent())
+	mac, ok := suite.MAC(100, rep.AuthContent(new(message.Encoder)))
 	if !ok {
 		h.t.Fatal("no key toward client")
 	}
 	rep.MAC = mac
-	h.client.Receive(message.Marshal(rep))
+	h.client.Receive(message.Marshal(new(message.Encoder), rep))
 }
 
 func TestClientAcceptsFPlusOneCommittedReplies(t *testing.T) {
@@ -148,11 +148,11 @@ func TestClientIgnoresForgedReplies(t *testing.T) {
 	rep := &message.Reply{Timestamp: 1, Client: 100, Replica: 0, Full: true,
 		Result: []byte("evil"), ResultD: crypto.Hash([]byte("evil"))}
 	suite := crypto.NewSuite(h.tables[3], nil)
-	mac, _ := suite.MAC(100, rep.AuthContent())
+	mac, _ := suite.MAC(100, rep.AuthContent(new(message.Encoder)))
 	rep.MAC = mac
-	h.client.Receive(message.Marshal(rep))
-	h.client.Receive(message.Marshal(rep))
-	h.client.Receive(message.Marshal(rep))
+	h.client.Receive(message.Marshal(new(message.Encoder), rep))
+	h.client.Receive(message.Marshal(new(message.Encoder), rep))
+	h.client.Receive(message.Marshal(new(message.Encoder), rep))
 	if got != nil {
 		t.Fatal("forged replies formed a certificate")
 	}
@@ -192,9 +192,9 @@ func TestClientLyingReplierBodyRejected(t *testing.T) {
 	rep := &message.Reply{Timestamp: 1, Client: 100, Replica: 0, Full: true,
 		Result: []byte("evil"), ResultD: crypto.Hash([]byte("good"))}
 	suite := crypto.NewSuite(h.tables[0], nil)
-	mac, _ := suite.MAC(100, rep.AuthContent())
+	mac, _ := suite.MAC(100, rep.AuthContent(new(message.Encoder)))
 	rep.MAC = mac
-	h.client.Receive(message.Marshal(rep))
+	h.client.Receive(message.Marshal(new(message.Encoder), rep))
 	h.reply(1, 1, []byte("good"), false, false)
 	h.reply(2, 1, []byte("good"), false, false)
 	if got != nil {

@@ -189,9 +189,7 @@ func (r *Replica) executeReadOnly(req *message.Request) {
 
 // deliverReply MACs and sends an already-built reply.
 func (r *Replica) deliverReply(rep *message.Reply) {
-	e := r.enc.Get()
-	mac, ok := r.suite.MAC(int(rep.Client), rep.AuthContentInto(e))
-	r.enc.Put(e)
+	mac, ok := r.suite.MAC(int(rep.Client), rep.AuthContent(&r.contentEnc))
 	if !ok {
 		return // no session key with this client yet
 	}
@@ -237,7 +235,8 @@ func (r *Replica) sortedClients() []int32 {
 // execution-visible client state (which client timestamps executed, with
 // which results). ids is sortedClients().
 func (r *Replica) checkpointDigest(ids []int32) crypto.Digest {
-	e := r.enc.Get()
+	e := &r.contentEnc
+	e.Reset()
 	for _, id := range ids {
 		rec := r.clients[id]
 		e.I32(id)
@@ -245,7 +244,6 @@ func (r *Replica) checkpointDigest(ids []int32) crypto.Digest {
 		e.Digest(rec.lastReply.ResultD)
 	}
 	ctd := r.suite.Digest(e.Bytes())
-	r.enc.Put(e)
 	smd := r.sm.StateDigest()
 	return r.suite.Digest(ctd[:], smd[:])
 }
@@ -270,7 +268,7 @@ func (r *Replica) encodeClientTable(ids []int32) []byte {
 
 // decodeClientTable reads what encodeClientTable wrote.
 func (r *Replica) decodeClientTable(d *message.Decoder) (map[int32]*clientRecord, error) {
-	n := d.Count()
+	n := d.Count(4 + 8 + 4) // id, timestamp, empty result
 	if d.Err() != nil {
 		return nil, fmt.Errorf("core: corrupt snapshot header: %w", d.Err())
 	}
@@ -378,10 +376,8 @@ func (r *Replica) takeCheckpoint(seq int64) {
 	}
 	r.recordCheckpoint(seq, int32(r.cfg.Self), d)
 	ck := &message.Checkpoint{Seq: seq, StateD: d, Replica: int32(r.cfg.Self)}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContentInto(e))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
 	ck.Auth = r.authScratch
-	r.enc.Put(e)
 	r.broadcast(ck)
 	r.checkStable(seq, d)
 }
@@ -392,10 +388,7 @@ func (r *Replica) onCheckpoint(c *message.Checkpoint) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self || c.Seq <= r.lastStable {
 		return
 	}
-	e := r.enc.Get()
-	ok := r.suite.VerifyAuth(sender, c.Auth, c.AuthContentInto(e))
-	r.enc.Put(e)
-	if !ok {
+	if !r.suite.VerifyAuth(sender, c.Auth, c.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}

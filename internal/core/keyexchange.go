@@ -27,7 +27,7 @@ func (r *Replica) rotateKeys() {
 	for _, p := range peers {
 		nk.Keys = append(nk.Keys, message.KeyEntry{Replica: int32(p), Key: fresh[p]})
 	}
-	nk.Auth = r.suite.MasterAuth(r.cfg.N, nk.AuthContent())
+	nk.Auth = r.suite.MasterAuth(r.cfg.N, nk.AuthContent(&r.contentEnc))
 	r.broadcast(nk)
 }
 
@@ -37,7 +37,7 @@ func (r *Replica) onNewKey(nk *message.NewKey) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self {
 		return
 	}
-	if !r.suite.VerifyMasterAuth(sender, nk.Auth, nk.AuthContent()) {
+	if !r.suite.VerifyMasterAuth(sender, nk.Auth, nk.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -58,7 +58,7 @@ func (r *Replica) startRecovery() {
 	r.rotateKeys()
 	r.epoch++
 	rec := &message.Recovery{Replica: int32(r.cfg.Self), Epoch: r.epoch}
-	rec.Auth = r.suite.MasterAuth(r.cfg.N, rec.AuthContent())
+	rec.Auth = r.suite.MasterAuth(r.cfg.N, rec.AuthContent(&r.contentEnc))
 	r.broadcast(rec)
 }
 
@@ -76,7 +76,7 @@ func (r *Replica) onRecovery(rec *message.Recovery) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self {
 		return
 	}
-	if !r.suite.VerifyMasterAuth(sender, rec.Auth, rec.AuthContent()) {
+	if !r.suite.VerifyMasterAuth(sender, rec.Auth, rec.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -87,6 +87,6 @@ func (r *Replica) onRecovery(rec *message.Recovery) {
 		LastExec:     r.lastCommittedExec,
 		Replica:      int32(r.cfg.Self),
 	}
-	s.Auth = r.suite.Auth(r.cfg.N, s.AuthContent())
+	s.Auth = r.suite.Auth(r.cfg.N, s.AuthContent(&r.contentEnc))
 	r.send(sender, s)
 }

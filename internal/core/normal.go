@@ -17,9 +17,7 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 		r.stats.DroppedMessages++
 		return
 	}
-	e := r.enc.Get()
-	d := req.ContentDigestWith(r.suite, e)
-	r.enc.Put(e)
+	d := req.ContentDigest(r.suite, &r.contentEnc)
 	if !r.suite.VerifyAuth(int(req.Client), req.Auth, d[:]) {
 		r.stats.DroppedMessages++
 		return
@@ -141,24 +139,10 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	reqDigests := make([]crypto.Digest, len(pp.Refs))
 	requests := make([]*message.Request, len(pp.Refs))
 	missing := 0
-	e := r.enc.Get()
 	for i, ref := range pp.Refs {
 		if ref.Inline != nil {
-			m, err := message.Unmarshal(ref.Inline)
-			if err != nil {
-				r.enc.Put(e)
-				r.stats.DroppedMessages++
-				return
-			}
-			req, ok := m.(*message.Request)
+			req, d, ok := r.inlineRequest(ref.Inline)
 			if !ok {
-				r.enc.Put(e)
-				r.stats.DroppedMessages++
-				return
-			}
-			d := req.ContentDigestWith(r.suite, e)
-			if !r.suite.VerifyAuth(int(req.Client), req.Auth, d[:]) {
-				r.enc.Put(e)
 				r.stats.DroppedMessages++
 				return
 			}
@@ -173,12 +157,10 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 			missing++
 		}
 	}
-	batch := message.BatchDigestWith(r.suite, e, reqDigests)
-	content := message.OrderContentWithCommitsInto(e, pp.View, pp.Seq, batch, pp.Commits)
+	batch := message.BatchDigest(r.suite, &r.contentEnc, reqDigests)
+	content := message.OrderContentWithCommits(&r.contentEnc, pp.View, pp.Seq, batch, pp.Commits)
 	primary := r.leaderOfSeq(pp.View, pp.Seq)
-	ok := r.suite.VerifyAuth(primary, pp.Auth, content)
-	r.enc.Put(e)
-	if !ok {
+	if !r.suite.VerifyAuth(primary, pp.Auth, content) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -227,6 +209,22 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	r.syncVCTimer(false)
 }
 
+// inlineRequest decodes a request inlined in a pre-prepare, digests it and
+// verifies its client's authenticator over that digest. Every path that
+// takes a request body from a pre-prepare goes through here.
+func (r *Replica) inlineRequest(raw []byte) (*message.Request, crypto.Digest, bool) {
+	m, err := message.Unmarshal(raw)
+	if err != nil {
+		return nil, crypto.Digest{}, false
+	}
+	req, ok := m.(*message.Request)
+	if !ok {
+		return nil, crypto.Digest{}, false
+	}
+	d := req.ContentDigest(r.suite, &r.contentEnc)
+	return req, d, r.suite.VerifyAuth(int(req.Client), req.Auth, d[:])
+}
+
 // onSlotResolved fires once a slot has its pre-prepare and all bodies:
 // the backup multicasts its prepare and the ordering pipeline advances.
 func (r *Replica) onSlotResolved(s *slot) {
@@ -242,11 +240,9 @@ func (r *Replica) onSlotResolved(s *slot) {
 // message is built (its authenticator is scratch). Retransmissions carry no commits.
 func (r *Replica) buildPrepare(s *slot, commits []message.CommitRef) *message.Prepare {
 	prep := &message.Prepare{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self), Commits: commits}
-	e := r.enc.Get()
-	content := message.OrderContentWithCommitsInto(e, prep.View, prep.Seq, prep.Digest, prep.Commits)
+	content := message.OrderContentWithCommits(&r.contentEnc, prep.View, prep.Seq, prep.Digest, prep.Commits)
 	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, content)
 	prep.Auth = r.authScratch
-	r.enc.Put(e)
 	return prep
 }
 
@@ -255,11 +251,8 @@ func (r *Replica) onPrepare(p *message.Prepare) {
 	if !r.admitPrepare(p) {
 		return
 	}
-	e := r.enc.Get()
-	content := message.OrderContentWithCommitsInto(e, p.View, p.Seq, p.Digest, p.Commits)
-	ok := r.suite.VerifyAuth(int(p.Replica), p.Auth, content)
-	r.enc.Put(e)
-	if !ok {
+	content := message.OrderContentWithCommits(&r.contentEnc, p.View, p.Seq, p.Digest, p.Commits)
+	if !r.suite.VerifyAuth(int(p.Replica), p.Auth, content) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -291,10 +284,7 @@ func (r *Replica) onCommit(c *message.Commit) {
 	if !r.admitCommit(c) {
 		return
 	}
-	e := r.enc.Get()
-	ok := r.suite.VerifyAuth(int(c.Replica), c.Auth, message.OrderContentInto(e, c.View, c.Seq, c.Digest))
-	r.enc.Put(e)
-	if !ok {
+	if !r.suite.VerifyAuth(int(c.Replica), c.Auth, message.OrderContent(&r.contentEnc, c.View, c.Seq, c.Digest)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -364,10 +354,8 @@ func (r *Replica) advance(s *slot) {
 // buildCommit builds a standalone commit for s, under buildPrepare's rule.
 func (r *Replica) buildCommit(s *slot) *message.Commit {
 	c := &message.Commit{View: s.view, Seq: s.seq, Digest: s.batchDigest, Replica: int32(r.cfg.Self)}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContentInto(e, c.View, c.Seq, c.Digest))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, message.OrderContent(&r.contentEnc, c.View, c.Seq, c.Digest))
 	c.Auth = r.authScratch
-	r.enc.Put(e)
 	r.stats.Commits.Standalone++
 	return c
 }
@@ -536,14 +524,12 @@ func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
 		}
 		r.inFlight[buf.digest] = seq
 	}
-	e := r.enc.Get()
-	batchD := message.BatchDigestWith(r.suite, e, reqDigests)
+	batchD := message.BatchDigest(r.suite, &r.contentEnc, reqDigests)
 	pp := &message.PrePrepare{View: r.view, Seq: seq, Refs: refs, Commits: slices.Clone(r.takePiggybackCommits())}
-	content := message.OrderContentWithCommitsInto(e, pp.View, pp.Seq, batchD, pp.Commits)
+	content := message.OrderContentWithCommits(&r.contentEnc, pp.View, pp.Seq, batchD, pp.Commits)
 	// The pre-prepare's authenticator is retained in the slot (s.ppAuth),
 	// so it must be freshly allocated, not scratch.
 	pp.Auth = r.suite.Auth(r.cfg.N, content)
-	r.enc.Put(e)
 	r.broadcast(pp)
 	r.trace(obs.EvPrePrepareSent, seq, r.view, int64(len(batch)))
 	if r.phases != nil {
@@ -569,16 +555,8 @@ func (r *Replica) fillBodiesFromPP(s *slot, pp *message.PrePrepare) {
 		if ref.Inline == nil || s.missing == 0 {
 			continue
 		}
-		m, err := message.Unmarshal(ref.Inline)
-		if err != nil {
-			continue
-		}
-		req, ok := m.(*message.Request)
+		req, d, ok := r.inlineRequest(ref.Inline)
 		if !ok {
-			continue
-		}
-		d := req.ContentDigest(r.suite)
-		if !r.suite.VerifyAuth(int(req.Client), req.Auth, d[:]) {
 			continue
 		}
 		if _, buffered := r.reqBuffer[d]; !buffered {
@@ -603,22 +581,14 @@ func (r *Replica) resolveUnknownBatch(s *slot, pp *message.PrePrepare) {
 		if ref.Inline == nil {
 			return // a retransmission must inline everything
 		}
-		m, err := message.Unmarshal(ref.Inline)
-		if err != nil {
-			return
-		}
-		req, ok := m.(*message.Request)
+		req, d, ok := r.inlineRequest(ref.Inline)
 		if !ok {
-			return
-		}
-		d := req.ContentDigest(r.suite)
-		if !r.suite.VerifyAuth(int(req.Client), req.Auth, d[:]) {
 			return
 		}
 		reqDigests[i] = d
 		requests[i] = req
 	}
-	if message.BatchDigest(r.suite, reqDigests) != s.batchDigest {
+	if message.BatchDigest(r.suite, &r.contentEnc, reqDigests) != s.batchDigest {
 		r.stats.DroppedMessages++
 		return
 	}

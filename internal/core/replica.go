@@ -117,12 +117,14 @@ type Replica struct {
 	bodyFetchArmed bool     // a timerBodyFetch grace period is running
 
 	// Hot-path scratch state (engine-local, reused per message; see the
-	// "Host performance architecture" section of DESIGN.md). peers caches
-	// otherReplicas(); callers must not mutate it. prepScratch/commitScratch
-	// receive decode-into for the transient ordering messages; authScratch
-	// cycles through outgoing authenticators of messages the replica does
-	// not retain.
-	enc           message.EncoderList
+	// "Host performance architecture" section of DESIGN.md). contentEnc's
+	// bytes are hashed or MAC'd, never sent; wireEnc's are cloned once for
+	// Env.Send. peers caches otherReplicas(); callers must not mutate it.
+	// prepScratch/commitScratch receive decode-into for the transient
+	// ordering messages; authScratch cycles through outgoing authenticators
+	// of messages the replica does not retain.
+	contentEnc    message.Encoder
+	wireEnc       message.Encoder
 	peers         []int
 	prepScratch   message.Prepare
 	commitScratch message.Commit
@@ -297,10 +299,6 @@ func (r *Replica) PeerHeard(dst []time.Duration) []time.Duration {
 	return append(dst, r.statusHeard...)
 }
 
-// StateMachine returns the replicated service instance (for inspection in
-// tests and examples).
-func (r *Replica) StateMachine() StateMachine { return r.sm }
-
 // otherReplicas lists every replica id except this one. The returned slice
 // is cached; callers must not mutate it.
 func (r *Replica) otherReplicas() []int { return r.peers }
@@ -330,33 +328,29 @@ func (r *Replica) Init(env proc.Env) {
 	}
 }
 
-// Receive implements proc.Handler.
+// Receive implements proc.Handler. The two transient ordering messages
+// decode into engine-owned scratch values, reusing their slice capacity:
+// safe only because onPrepare/onCommit retain nothing from the message.
+// Every other type gets a fresh value (the pre-prepare's Auth and Commits,
+// for one, ARE retained in the slot).
 func (r *Replica) Receive(data []byte) {
 	defer r.settleCommits() // after the handlers: they may put the held commits on a carrier
-	// Fast paths for the two transient ordering messages: decode into
-	// engine-owned scratch values, reusing their slice capacity. Safe only
-	// because onPrepare/onCommit retain nothing from the message (the
-	// pre-prepare, whose Auth and Commits ARE retained in the slot, must
-	// take the allocating path).
+	var (
+		tag message.Type // 0, which no message carries, for an empty datagram
+		m   message.Message
+		err error
+	)
 	if len(data) > 0 {
-		switch message.Type(data[0]) {
-		case message.TypePrepare:
-			if err := message.UnmarshalPrepareInto(data, &r.prepScratch); err != nil {
-				r.stats.DroppedMessages++
-				return
-			}
-			r.onPrepare(&r.prepScratch)
-			return
-		case message.TypeCommit:
-			if err := message.UnmarshalCommitInto(data, &r.commitScratch); err != nil {
-				r.stats.DroppedMessages++
-				return
-			}
-			r.onCommit(&r.commitScratch)
-			return
-		}
+		tag = message.Type(data[0])
 	}
-	m, err := message.Unmarshal(data)
+	switch tag {
+	case message.TypePrepare:
+		m, err = &r.prepScratch, message.UnmarshalInto(data, &r.prepScratch)
+	case message.TypeCommit:
+		m, err = &r.commitScratch, message.UnmarshalInto(data, &r.commitScratch)
+	default:
+		m, err = message.Unmarshal(data)
+	}
 	if err != nil {
 		r.stats.DroppedMessages++
 		return
@@ -423,12 +417,12 @@ func (r *Replica) OnTimer(key int) {
 // send marshals and unicasts m. The wire buffer is a fresh exact-size
 // clone (the environment owns sent buffers); only the encoder is reused.
 func (r *Replica) send(dst int, m message.Message) {
-	r.env.Send(dst, message.MarshalWith(&r.enc, m))
+	r.env.Send(dst, message.Marshal(&r.wireEnc, m))
 }
 
 // broadcast marshals and multicasts m to all other replicas.
 func (r *Replica) broadcast(m message.Message) {
-	r.env.Multicast(r.peers, message.MarshalWith(&r.enc, m))
+	r.env.Multicast(r.peers, message.Marshal(&r.wireEnc, m))
 }
 
 // getSlot returns the log slot for seq, creating it if needed.

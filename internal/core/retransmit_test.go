@@ -32,7 +32,7 @@ func TestRebuildPrePreparesChunksLargeBatches(t *testing.T) {
 			Replier:   message.AllReplicas,
 			Op:        bytes.Repeat([]byte{byte(i)}, 4096),
 		}
-		d := req.ContentDigest(clientSuite)
+		d := req.ContentDigest(clientSuite, new(message.Encoder))
 		req.Auth = clientSuite.Auth(4, d[:])
 		digests = append(digests, d)
 		requests = append(requests, req)
@@ -42,7 +42,7 @@ func TestRebuildPrePreparesChunksLargeBatches(t *testing.T) {
 	s.havePP = true
 	s.reqDigests = digests
 	s.requests = requests
-	s.batchDigest = message.BatchDigest(crypto.NewSuite(g.tables[0], nil), digests)
+	s.batchDigest = message.BatchDigest(crypto.NewSuite(g.tables[0], nil), new(message.Encoder), digests)
 
 	pps := primary.rebuildPrePrepares(s, nil)
 	if len(pps) < 3 {
@@ -50,7 +50,7 @@ func TestRebuildPrePreparesChunksLargeBatches(t *testing.T) {
 	}
 	seen := 0
 	for _, pp := range pps {
-		raw := message.Marshal(pp)
+		raw := message.Marshal(new(message.Encoder), pp)
 		if len(raw) > 48<<10 {
 			t.Fatalf("chunk of %d bytes exceeds the datagram budget", len(raw))
 		}
@@ -106,7 +106,7 @@ func TestFillBodiesRejectsForgedBodies(t *testing.T) {
 	clientSuite := crypto.NewSuite(g.tables[4], nil)
 
 	req := &message.Request{Client: 100, Timestamp: 1, Replier: message.AllReplicas, Op: []byte("real")}
-	d := req.ContentDigest(clientSuite)
+	d := req.ContentDigest(clientSuite, new(message.Encoder))
 	req.Auth = clientSuite.Auth(4, d[:])
 
 	backup := g.replicas[1]
@@ -121,13 +121,13 @@ func TestFillBodiesRejectsForgedBodies(t *testing.T) {
 
 	forged := &message.Request{Client: 100, Timestamp: 1, Replier: message.AllReplicas, Op: []byte("real")}
 	forged.Auth = crypto.Authenticator{macOfByte(1), macOfByte(1), macOfByte(1), macOfByte(1)}
-	pp := &message.PrePrepare{View: 0, Seq: 9, Refs: []message.RequestRef{{Inline: message.Marshal(forged)}}}
+	pp := &message.PrePrepare{View: 0, Seq: 9, Refs: []message.RequestRef{{Inline: message.Marshal(new(message.Encoder), forged)}}}
 	backup.fillBodiesFromPP(bs, pp)
 	if bs.missing != 1 {
 		t.Fatal("forged body filled the slot")
 	}
 	// The genuine body works.
-	pp.Refs[0].Inline = message.Marshal(req)
+	pp.Refs[0].Inline = message.Marshal(new(message.Encoder), req)
 	backup.fillBodiesFromPP(bs, pp)
 	if bs.missing != 0 {
 		t.Fatal("genuine body rejected")

@@ -71,10 +71,8 @@ func (r *Replica) statusTick() {
 		LastExec:     r.lastCommittedExec,
 		Replica:      int32(r.cfg.Self),
 	}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, s.AuthContentInto(e))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, s.AuthContent(&r.contentEnc))
 	s.Auth = r.authScratch
-	r.enc.Put(e)
 	r.broadcast(s)
 	// The loops below walk the log in ascending sequence order, never in
 	// map order: the help limit means iteration order picks WHICH slots
@@ -169,10 +167,8 @@ func (r *Replica) fetchLateBodies() {
 			}
 		}
 		f := &message.Fetch{Level: -1, Index: n, Seq: r.lastStable, Missing: missing, Replica: int32(r.cfg.Self)}
-		e := r.enc.Get()
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContentInto(e))
+		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
 		f.Auth = r.authScratch
-		r.enc.Put(e)
 		r.send(r.leaderOfSeq(r.view, n), f)
 	}
 }
@@ -186,17 +182,15 @@ func (r *Replica) fetchLateBodies() {
 func (r *Replica) buildResendPP(s *slot) *message.PrePrepare {
 	auth := s.ppAuth
 	if auth == nil {
-		e := r.enc.Get()
-		content := message.OrderContentWithCommitsInto(e, s.view, s.seq, s.batchDigest, s.ppCommits)
+		content := message.OrderContentWithCommits(&r.contentEnc, s.view, s.seq, s.batchDigest, s.ppCommits)
 		auth = r.suite.Auth(r.cfg.N, content)
-		r.enc.Put(e)
 		s.ppAuth = auth
 	}
 	refs := make([]message.RequestRef, len(s.reqDigests))
 	for i, d := range s.reqDigests {
 		refs[i] = message.RequestRef{Digest: d}
 		if req := s.requests[i]; req != nil {
-			raw := message.MarshalWith(&r.enc, req)
+			raw := message.Marshal(&r.wireEnc, req)
 			if !(r.cfg.Opts.SeparateRequests && len(raw) > r.cfg.InlineThreshold) {
 				refs[i] = message.RequestRef{Inline: raw}
 			}
@@ -225,10 +219,8 @@ func (r *Replica) rebuildPrePrepares(s *slot, include []int32) []*message.PrePre
 		// We proposed this batch; authenticate the retransmission fresh.
 		// The authenticator outlives this call (it is shared by every
 		// rebuilt chunk), so it cannot use the replica's scratch.
-		e := r.enc.Get()
-		content := message.OrderContentWithCommitsInto(e, s.view, s.seq, s.batchDigest, s.ppCommits)
+		content := message.OrderContentWithCommits(&r.contentEnc, s.view, s.seq, s.batchDigest, s.ppCommits)
 		auth = r.suite.Auth(r.cfg.N, content)
-		r.enc.Put(e)
 	}
 	want := make([]bool, len(s.requests))
 	if len(include) == 0 {
@@ -255,7 +247,7 @@ func (r *Replica) rebuildPrePrepares(s *slot, include []int32) []*message.PrePre
 			if !want[next] {
 				continue
 			}
-			raw := message.MarshalWith(&r.enc, s.requests[next])
+			raw := message.Marshal(&r.wireEnc, s.requests[next])
 			if progressed && len(raw) > budget {
 				break
 			}
@@ -332,10 +324,7 @@ func (r *Replica) onStatus(s *message.Status) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self {
 		return
 	}
-	e := r.enc.Get()
-	authOK := r.suite.VerifyAuth(sender, s.Auth, s.AuthContentInto(e))
-	r.enc.Put(e)
-	if !authOK {
+	if !r.suite.VerifyAuth(sender, s.Auth, s.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -354,10 +343,8 @@ func (r *Replica) onStatus(s *message.Status) {
 	// the log window would jam permanently once h+L filled).
 	if own := r.latestOwnCheckpointAbove(s.LastStable); own > 0 {
 		ck := &message.Checkpoint{Seq: own, StateD: r.checkpoints[own][int32(r.cfg.Self)], Replica: int32(r.cfg.Self)}
-		e := r.enc.Get()
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContentInto(e))
+		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
 		ck.Auth = r.authScratch
-		r.enc.Put(e)
 		r.send(sender, ck)
 	}
 

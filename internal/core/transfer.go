@@ -59,10 +59,8 @@ func (r *Replica) sendFetch(level int32, index int64) {
 		seq = r.st.meta.Seq
 	}
 	f := &message.Fetch{Level: level, Index: index, Seq: seq, Replica: int32(r.cfg.Self)}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContentInto(e))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
 	f.Auth = r.authScratch
-	r.enc.Put(e)
 	if level == 0 {
 		r.broadcast(f)
 	} else {
@@ -74,10 +72,8 @@ func (r *Replica) sendFetch(level int32, index int64) {
 // new-view whose bodies this replica never saw.
 func (r *Replica) fetchBatch(seq int64) {
 	f := &message.Fetch{Level: -1, Index: seq, Seq: r.lastStable, Replica: int32(r.cfg.Self)}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContentInto(e))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
 	f.Auth = r.authScratch
-	r.enc.Put(e)
 	r.broadcast(f)
 }
 
@@ -116,10 +112,7 @@ func (r *Replica) onFetch(f *message.Fetch) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self {
 		return
 	}
-	e := r.enc.Get()
-	authOK := r.suite.VerifyAuth(sender, f.Auth, f.AuthContentInto(e))
-	r.enc.Put(e)
-	if !authOK {
+	if !r.suite.VerifyAuth(sender, f.Auth, f.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -253,10 +246,8 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 		}
 	}
 	ck := &message.Checkpoint{Seq: seq, StateD: st.expect, Replica: int32(r.cfg.Self)}
-	e := r.enc.Get()
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContentInto(e))
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
 	ck.Auth = r.authScratch
-	r.enc.Put(e)
 	r.broadcast(ck)
 	r.tryExecute()
 	r.syncVCTimer(true)

@@ -62,13 +62,11 @@ func (r *Replica) startViewChange(newView int64) {
 		PrePrep:    pqSlice(r.qset),
 		Replica:    int32(r.cfg.Self),
 	}
-	e := r.enc.Get()
-	vcd := r.suite.Digest(vc.AuthContentInto(e))
-	r.enc.Put(e)
+	vcd := r.suite.Digest(vc.AuthContent(&r.contentEnc))
 	// The view-change (and its authenticator) is retained in the vcRecord,
 	// so the authenticator is freshly allocated, not scratch.
 	vc.Auth = r.suite.Auth(r.cfg.N, vcd[:])
-	raw := message.MarshalWith(&r.enc, vc)
+	raw := message.Marshal(&r.wireEnc, vc)
 	r.storeViewChange(vc, raw, vcd)
 	r.env.Multicast(r.otherReplicas(), raw)
 
@@ -134,9 +132,7 @@ func (r *Replica) sendViewChangeAck(origin int32, vcd crypto.Digest) {
 		return // the primary vouches for what it verified itself
 	}
 	ack := &message.ViewChangeAck{View: r.view, Replica: int32(r.cfg.Self), Origin: origin, VCD: vcd}
-	e := r.enc.Get()
-	mac, ok := r.suite.MAC(primary, ack.AuthContentInto(e))
-	r.enc.Put(e)
+	mac, ok := r.suite.MAC(primary, ack.AuthContent(&r.contentEnc))
 	if !ok {
 		return
 	}
@@ -150,9 +146,7 @@ func (r *Replica) onViewChange(vc *message.ViewChange, raw []byte) {
 	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self {
 		return
 	}
-	e := r.enc.Get()
-	vcd := r.suite.Digest(vc.AuthContentInto(e))
-	r.enc.Put(e)
+	vcd := r.suite.Digest(vc.AuthContent(&r.contentEnc))
 	if !r.suite.VerifyAuth(sender, vc.Auth, vcd[:]) {
 		r.stats.DroppedMessages++
 		return
@@ -227,10 +221,7 @@ func (r *Replica) onViewChangeAck(a *message.ViewChangeAck) {
 	if a.View < r.view || r.cfg.PrimaryOf(a.View) != r.cfg.Self {
 		return
 	}
-	e := r.enc.Get()
-	macOK := r.suite.VerifyMAC(sender, a.MAC, a.AuthContentInto(e))
-	r.enc.Put(e)
-	if !macOK {
+	if !r.suite.VerifyMAC(sender, a.MAC, a.AuthContent(&r.contentEnc)) {
 		r.stats.DroppedMessages++
 		return
 	}
@@ -297,9 +288,7 @@ func (r *Replica) tryNewView() {
 		nv.VCs = append(nv.VCs, message.VCRef{Replica: o, Digest: supported[o].digest})
 		vcRaws = append(vcRaws, supported[o].vc)
 	}
-	e := r.enc.Get()
-	nvd := r.suite.Digest(nv.AuthContentInto(e))
-	r.enc.Put(e)
+	nvd := r.suite.Digest(nv.AuthContent(&r.contentEnc))
 	// The new-view (and its authenticator) is retained in lastNewView, so
 	// the authenticator is freshly allocated, not scratch.
 	nv.Auth = r.suite.Auth(r.cfg.N, nvd[:])
@@ -319,9 +308,7 @@ func (r *Replica) onNewView(nv *message.NewView) {
 	if primary == r.cfg.Self {
 		return
 	}
-	e := r.enc.Get()
-	nvd := r.suite.Digest(nv.AuthContentInto(e))
-	r.enc.Put(e)
+	nvd := r.suite.Digest(nv.AuthContent(&r.contentEnc))
 	if !r.suite.VerifyAuth(primary, nv.Auth, nvd[:]) {
 		r.stats.DroppedMessages++
 		return
@@ -689,7 +676,7 @@ func (r *Replica) salvageRequests(oldLog map[int64]*slot) {
 			if rec := r.clients[req.Client]; rec != nil && req.Timestamp <= rec.lastTimestamp {
 				continue // committed and executed under the old view
 			}
-			raw := message.Marshal(req)
+			raw := message.Marshal(&r.wireEnc, req)
 			r.reqBuffer[d] = &bufferedRequest{req: req, raw: raw, digest: d, relayed: true}
 			leader := r.cfg.LeaderOf(r.view, instanceForDigest(d, g))
 			if leader != r.cfg.Self && !(r.cfg.Opts.SeparateRequests && len(raw) > r.cfg.InlineThreshold) {

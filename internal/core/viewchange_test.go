@@ -162,18 +162,18 @@ func TestEquivocatingPrimarySafety(t *testing.T) {
 
 	makeReq := func(val string, ts int64) (*message.Request, []byte, crypto.Digest) {
 		req := &message.Request{Client: 100, Timestamp: ts, Replier: message.AllReplicas, Op: opSet("k", val)}
-		d := req.ContentDigest(clientSuite)
+		d := req.ContentDigest(clientSuite, new(message.Encoder))
 		req.Auth = clientSuite.Auth(n, d[:])
-		return req, message.Marshal(req), d
+		return req, message.Marshal(new(message.Encoder), req), d
 	}
 	_, rawA, dA := makeReq("A", 1)
 	_, rawB, dB := makeReq("B", 1)
 
 	makePP := func(raw []byte, d crypto.Digest) []byte {
-		batch := message.BatchDigest(evilSuite, []crypto.Digest{d})
+		batch := message.BatchDigest(evilSuite, new(message.Encoder), []crypto.Digest{d})
 		pp := &message.PrePrepare{View: 0, Seq: 1, Refs: []message.RequestRef{{Inline: raw}}}
-		pp.Auth = evilSuite.Auth(n, message.OrderContentWithCommits(0, 1, batch, nil))
-		return message.Marshal(pp)
+		pp.Auth = evilSuite.Auth(n, message.OrderContentWithCommits(new(message.Encoder), 0, 1, batch, nil))
+		return message.Marshal(new(message.Encoder), pp)
 	}
 	// Backup 1 sees request A at seq 1; backups 2 and 3 see request B.
 	c.post(0, 1, makePP(rawA, dA))

@@ -22,24 +22,24 @@ func TestBackupRejectsOutOfWindowPrePrepare(t *testing.T) {
 	clientSuite := crypto.NewSuite(g.tables[4], nil)
 
 	req := &message.Request{Client: 100, Timestamp: 1, Replier: message.AllReplicas, Op: []byte("x")}
-	d := req.ContentDigest(clientSuite)
+	d := req.ContentDigest(clientSuite, new(message.Encoder))
 	req.Auth = clientSuite.Auth(4, d[:])
-	raw := message.Marshal(req)
+	raw := message.Marshal(new(message.Encoder), req)
 
 	for _, seq := range []int64{0, -3, 9, 100} { // h = 0, L = 8: valid is 1..8
-		batch := message.BatchDigest(primarySuite, []crypto.Digest{d})
+		batch := message.BatchDigest(primarySuite, new(message.Encoder), []crypto.Digest{d})
 		pp := &message.PrePrepare{View: 0, Seq: seq, Refs: []message.RequestRef{{Inline: raw}}}
-		pp.Auth = primarySuite.Auth(4, message.OrderContentWithCommits(0, seq, batch, nil))
-		backup.Receive(message.Marshal(pp))
+		pp.Auth = primarySuite.Auth(4, message.OrderContentWithCommits(new(message.Encoder), 0, seq, batch, nil))
+		backup.Receive(message.Marshal(new(message.Encoder), pp))
 		if s, ok := backup.log[seq]; ok && s.havePP {
 			t.Fatalf("pre-prepare for out-of-window seq %d accepted", seq)
 		}
 	}
 	// A valid one is accepted, proving the fixture works.
-	batch := message.BatchDigest(primarySuite, []crypto.Digest{d})
+	batch := message.BatchDigest(primarySuite, new(message.Encoder), []crypto.Digest{d})
 	pp := &message.PrePrepare{View: 0, Seq: 5, Refs: []message.RequestRef{{Inline: raw}}}
-	pp.Auth = primarySuite.Auth(4, message.OrderContentWithCommits(0, 5, batch, nil))
-	backup.Receive(message.Marshal(pp))
+	pp.Auth = primarySuite.Auth(4, message.OrderContentWithCommits(new(message.Encoder), 0, 5, batch, nil))
+	backup.Receive(message.Marshal(new(message.Encoder), pp))
 	if s := backup.log[5]; s == nil || !s.havePP {
 		t.Fatal("in-window pre-prepare rejected")
 	}

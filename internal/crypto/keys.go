@@ -142,15 +142,6 @@ func (t *KeyTable) SetOutbound(receiver int, k Key, epoch int64) bool {
 	return true
 }
 
-// Outbound returns the key this node must use when authenticating to
-// receiver. The second result is false if no key has been exchanged yet.
-func (t *KeyTable) Outbound(receiver int) (Key, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	k, ok := t.out[receiver]
-	return k, ok
-}
-
 // Pair statically installs keys for both directions between this node and
 // peer. It is a bootstrap helper used by tests and by deployments that
 // provision initial keys out of band; epoch tracking starts at the given

@@ -71,12 +71,5 @@ func (st *macState) compute(pieces [][]byte) MAC {
 	return m
 }
 
-// VerifyMAC reports whether tag authenticates the concatenated pieces under
-// key k, in constant time.
-func VerifyMAC(k Key, tag MAC, pieces ...[]byte) bool {
-	want := ComputeMAC(k, pieces...)
-	return macEqual(want, tag)
-}
-
 // macEqual compares two MACs in constant time.
 func macEqual(a, b MAC) bool { return subtle.ConstantTimeCompare(a[:], b[:]) == 1 }

@@ -32,9 +32,6 @@ func NewSuite(keys *KeyTable, meter Meter) *Suite {
 // Keys exposes the underlying key table (for key-exchange handling).
 func (s *Suite) Keys() *KeyTable { return s.keys }
 
-// Self returns the node id of the suite's owner.
-func (s *Suite) Self() int { return s.keys.Self() }
-
 func (s *Suite) meterDigest(pieces [][]byte) {
 	if s.meter == nil {
 		return

@@ -234,7 +234,7 @@ func ParseReadDirResult(res []byte) ([]DirEntry, Status, error) {
 	if st != OK {
 		return nil, st, d.Finish()
 	}
-	n := d.Count()
+	n := d.Count(4 + 8) // empty name, handle
 	entries := make([]DirEntry, 0, n)
 	for i := 0; i < n; i++ {
 		entries = append(entries, DirEntry{Name: string(d.Blob()), Handle: d.U64()})

@@ -51,7 +51,7 @@ func (f *FS) Restore(snap []byte) error {
 	d := message.NewDecoder(snap)
 	nextID := d.U64()
 	clock := d.I64()
-	count := d.Count()
+	count := d.Count(8 + 1 + 1 + 8 + 4) // id, flags, mtime, empty data
 	if d.Err() != nil {
 		return fmt.Errorf("fs: corrupt snapshot header: %w", d.Err())
 	}
@@ -66,7 +66,7 @@ func (f *FS) Restore(snap []byte) error {
 		n.data = append([]byte(nil), d.Blob()...)
 		fresh.dataBytes += int64(len(n.data))
 		if n.isDir {
-			nc := d.Count()
+			nc := d.Count(4 + 8) // empty name, id
 			if d.Err() != nil {
 				return fmt.Errorf("fs: corrupt snapshot inode: %w", d.Err())
 			}

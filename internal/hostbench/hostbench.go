@@ -92,7 +92,7 @@ func samplePrepare(tables []*crypto.KeyTable) *message.Prepare {
 	p := &message.Prepare{View: 3, Seq: 117, Digest: d, Replica: 2}
 	p.Commits = []message.CommitRef{{Seq: 116, Digest: d}}
 	p.Auth = crypto.AuthenticatorFor(tables[2], groupN,
-		message.OrderContentWithCommits(p.View, p.Seq, p.Digest, p.Commits))
+		message.OrderContentWithCommits(new(message.Encoder), p.View, p.Seq, p.Digest, p.Commits))
 	return p
 }
 
@@ -100,7 +100,7 @@ func sampleCommit(tables []*crypto.KeyTable) *message.Commit {
 	d := sampleDigest()
 	c := &message.Commit{View: 3, Seq: 117, Digest: d, Replica: 1}
 	c.Auth = crypto.AuthenticatorFor(tables[1], groupN,
-		message.OrderContent(c.View, c.Seq, c.Digest))
+		message.OrderContent(new(message.Encoder), c.View, c.Seq, c.Digest))
 	return c
 }
 
@@ -117,7 +117,7 @@ func BenchCodecEncodePrepare(b *testing.B) {
 }
 
 // BenchCodecMarshalPrePrepare measures the full send path of a small-batch
-// pre-prepare through an encoder free-list: scratch encode plus the one
+// pre-prepare through a warm wire encoder: scratch encode plus the one
 // exact-size clone a send buffer requires.
 func BenchCodecMarshalPrePrepare(b *testing.B) {
 	tables := keyedTables(groupN)
@@ -128,24 +128,24 @@ func BenchCodecMarshalPrePrepare(b *testing.B) {
 		Refs: []message.RequestRef{{Digest: d}, {Digest: d}},
 	}
 	pp.Auth = crypto.AuthenticatorFor(tables[0], groupN,
-		message.OrderContentWithCommits(pp.View, pp.Seq, d, nil))
-	var l message.EncoderList
+		message.OrderContentWithCommits(new(message.Encoder), pp.View, pp.Seq, d, nil))
+	var e message.Encoder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink = len(message.MarshalWith(&l, pp))
+		sink = len(message.Marshal(&e, pp))
 	}
 }
 
 // BenchCodecDecodePrepare measures the decode-into fast path a replica runs
 // for every prepare it receives.
 func BenchCodecDecodePrepare(b *testing.B) {
-	wire := message.Marshal(samplePrepare(keyedTables(groupN)))
+	wire := message.Marshal(new(message.Encoder), samplePrepare(keyedTables(groupN)))
 	var scratch message.Prepare
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := message.UnmarshalPrepareInto(wire, &scratch); err != nil {
+		if err := message.UnmarshalInto(wire, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -153,12 +153,12 @@ func BenchCodecDecodePrepare(b *testing.B) {
 
 // BenchCodecDecodeCommit measures the decode-into fast path for commits.
 func BenchCodecDecodeCommit(b *testing.B) {
-	wire := message.Marshal(sampleCommit(keyedTables(groupN)))
+	wire := message.Marshal(new(message.Encoder), sampleCommit(keyedTables(groupN)))
 	var scratch message.Commit
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := message.UnmarshalCommitInto(wire, &scratch); err != nil {
+		if err := message.UnmarshalInto(wire, &scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func BenchCodecDecodeCommit(b *testing.B) {
 // the whole group with cached HMAC states and a reused destination vector.
 func BenchAuthenticatorInto(b *testing.B) {
 	tables := keyedTables(groupN)
-	content := message.OrderContent(3, 117, sampleDigest())
+	content := message.OrderContent(new(message.Encoder), 3, 117, sampleDigest())
 	var dst crypto.Authenticator
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -181,7 +181,7 @@ func BenchAuthenticatorInto(b *testing.B) {
 // BenchAuthenticatorVerify measures a receiver checking its own entry.
 func BenchAuthenticatorVerify(b *testing.B) {
 	tables := keyedTables(groupN)
-	content := message.OrderContent(3, 117, sampleDigest())
+	content := message.OrderContent(new(message.Encoder), 3, 117, sampleDigest())
 	a := crypto.AuthenticatorFor(tables[0], groupN, content)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -244,7 +244,7 @@ func (s *Service) encode(over map[string]prior) []byte {
 // checkpoint: they described the state it replaced.
 func (s *Service) Restore(snap []byte) error {
 	d := message.NewDecoder(snap)
-	n := d.Count()
+	n := d.Count(4 + 4) // empty key, empty value
 	if d.Err() != nil {
 		return fmt.Errorf("kvservice: corrupt snapshot: %w", d.Err())
 	}

@@ -48,38 +48,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // previously returned by Bytes are invalidated.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
-// Len returns the number of encoded bytes.
-func (e *Encoder) Len() int { return len(e.buf) }
-
-// EncoderList is an explicit free-list of encoders owned by one
-// single-threaded engine. It deliberately is not a sync.Pool: the
-// determinism contract (see DESIGN.md) forbids engines from observing
-// scheduler-dependent state, and sync.Pool hands out buffers in an order
-// that depends on GC timing and Ps. A plain LIFO list is deterministic and
-// just as fast for a single goroutine.
-//
-// Buffers obtained from list encoders are scratch: they may be hashed,
-// MAC'd or copied, but must not be retained or passed to Env.Send (send
-// buffers transfer ownership — see the bufretain analyzer).
-type EncoderList struct {
-	free []*Encoder
-}
-
-// Get returns an empty encoder, reusing a previously Put one when possible.
-func (l *EncoderList) Get() *Encoder {
-	if n := len(l.free); n > 0 {
-		e := l.free[n-1]
-		l.free = l.free[:n-1]
-		e.Reset()
-		return e
-	}
-	return NewEncoder(256)
-}
-
-// Put returns an encoder to the list for reuse. The caller must not use e
-// or any buffer obtained from it afterwards.
-func (l *EncoderList) Put(e *Encoder) { l.free = append(l.free, e) }
-
 // U8 appends a single byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 
@@ -231,13 +199,17 @@ func (d *Decoder) Blob() []byte {
 	return d.take(int(n))
 }
 
-// Count reads a slice-length prefix bounded by MaxCount.
-func (d *Decoder) Count() int {
+// Count reads the length prefix of a repeated field whose elements occupy at
+// least elem encoded bytes each. It is bounded by MaxCount and by what the
+// unread rest of the buffer could hold, so a forged count fails here, before
+// the caller sizes an allocation (or a loop) by it — decoding runs ahead of
+// every MAC check.
+func (d *Decoder) Count(elem int) int {
 	n := d.U32()
 	if d.err != nil {
 		return 0
 	}
-	if n > MaxCount {
+	if n > MaxCount || int(n)*elem > d.Remaining() {
 		d.fail("count %d exceeds limit", n)
 		return 0
 	}
@@ -271,45 +243,34 @@ func (d *Decoder) Key() crypto.Key {
 	return out
 }
 
-// Auth reads a count-prefixed authenticator.
-func (d *Decoder) Auth() crypto.Authenticator {
-	n := d.Count()
-	if d.err != nil {
-		return nil
-	}
+// Auth reads a count-prefixed authenticator into a, reusing its capacity
+// when sufficient (nil decodes into fresh storage).
+//
+//bftvet:allocfree
+func (d *Decoder) Auth(a crypto.Authenticator) crypto.Authenticator {
+	n := d.Count(crypto.MACSize)
 	// An authenticator entry per replica; counts beyond any plausible
 	// replica group are rejected outright.
 	if n > 1024 {
-		d.fail("authenticator with %d entries", n)
-		return nil
+		d.fail("authenticator with %d entries", n) //bftvet:allow:allocfree the datagram is being rejected
+		n = 0
 	}
-	a := make(crypto.Authenticator, n)
+	a = resize(a, n)
 	for i := range a {
 		a[i] = d.MAC()
 	}
 	return a
 }
 
-// AuthInto is Auth reusing a's capacity when sufficient. Used by the
-// decode-into fast paths for transient messages.
-func (d *Decoder) AuthInto(a crypto.Authenticator) crypto.Authenticator {
-	n := d.Count()
-	if d.err != nil {
-		return a[:0]
+// resize returns s with length n, reusing its storage when large enough.
+// Every element is the caller's to overwrite.
+//
+//bftvet:allocfree
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if n > 1024 {
-		d.fail("authenticator with %d entries", n)
-		return a[:0]
-	}
-	if cap(a) < n {
-		a = make(crypto.Authenticator, n)
-	} else {
-		a = a[:n]
-	}
-	for i := range a {
-		a[i] = d.MAC()
-	}
-	return a
+	return s[:n]
 }
 
 // Finish validates that the buffer was consumed exactly and returns the

@@ -28,41 +28,36 @@ const (
 	TypeRecovery
 )
 
+// types has one row per wire type: its name and a constructor for the value
+// Unmarshal decodes into. Row 0 is the invalid zero tag.
+var types = [...]struct {
+	name string
+	new  func() Message
+}{
+	TypeRequest:       {"request", func() Message { return new(Request) }},
+	TypeReply:         {"reply", func() Message { return new(Reply) }},
+	TypePrePrepare:    {"pre-prepare", func() Message { return new(PrePrepare) }},
+	TypePrepare:       {"prepare", func() Message { return new(Prepare) }},
+	TypeCommit:        {"commit", func() Message { return new(Commit) }},
+	TypeCheckpoint:    {"checkpoint", func() Message { return new(Checkpoint) }},
+	TypeViewChange:    {"view-change", func() Message { return new(ViewChange) }},
+	TypeViewChangeAck: {"view-change-ack", func() Message { return new(ViewChangeAck) }},
+	TypeNewView:       {"new-view", func() Message { return new(NewView) }},
+	TypeNewKey:        {"new-key", func() Message { return new(NewKey) }},
+	TypeStatus:        {"status", func() Message { return new(Status) }},
+	TypeFetch:         {"fetch", func() Message { return new(Fetch) }},
+	TypeMeta:          {"meta-data", func() Message { return new(Meta) }},
+	TypeFragment:      {"fragment", func() Message { return new(Fragment) }},
+	TypeRecovery:      {"recovery", func() Message { return new(Recovery) }},
+}
+
+func (t Type) valid() bool { return int(t) < len(types) && types[t].new != nil }
+
 func (t Type) String() string {
-	switch t {
-	case TypeRequest:
-		return "request"
-	case TypeReply:
-		return "reply"
-	case TypePrePrepare:
-		return "pre-prepare"
-	case TypePrepare:
-		return "prepare"
-	case TypeCommit:
-		return "commit"
-	case TypeCheckpoint:
-		return "checkpoint"
-	case TypeViewChange:
-		return "view-change"
-	case TypeViewChangeAck:
-		return "view-change-ack"
-	case TypeNewView:
-		return "new-view"
-	case TypeNewKey:
-		return "new-key"
-	case TypeStatus:
-		return "status"
-	case TypeFetch:
-		return "fetch"
-	case TypeMeta:
-		return "meta-data"
-	case TypeFragment:
-		return "fragment"
-	case TypeRecovery:
-		return "recovery"
-	default:
+	if !t.valid() {
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
+	return types[t].name
 }
 
 // Message is implemented by every wire message.
@@ -73,60 +68,112 @@ type Message interface {
 	encodeBody(e *Encoder)
 }
 
-// Marshal encodes m with its one-byte type tag.
-func Marshal(m Message) []byte {
-	e := NewEncoder(64)
+// EncodeTo resets e and encodes m with its one-byte type tag. The result
+// aliases e's buffer: it is valid until e is reused and must not be passed
+// to Env.Send (use Marshal for wire buffers).
+//
+//bftvet:allocfree
+func EncodeTo(e *Encoder, m Message) []byte {
+	e.Reset()
 	e.U8(uint8(m.Type()))
 	m.encodeBody(e)
 	return e.Bytes()
 }
 
-// Unmarshal decodes a message, rejecting malformed input with an error that
-// wraps ErrMalformed. It never panics on untrusted input.
+// Marshal encodes m through scratch encoder e and returns a fresh
+// exact-size buffer the caller owns (safe to hand to Env.Send, which takes
+// ownership and so can never be given pooled storage): one allocation.
+func Marshal(e *Encoder, m Message) []byte {
+	b := EncodeTo(e, m)
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
+}
+
+// Unmarshal decodes a message into a fresh value, rejecting malformed input
+// with an error that wraps ErrMalformed. It never panics on untrusted input.
 func Unmarshal(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty buffer", ErrMalformed)
 	}
-	d := NewDecoder(data[1:])
-	var m Message
-	switch t := Type(data[0]); t {
-	case TypeRequest:
-		m = decodeRequest(d)
-	case TypeReply:
-		m = decodeReply(d)
-	case TypePrePrepare:
-		m = decodePrePrepare(d)
-	case TypePrepare:
-		m = decodePrepare(d)
-	case TypeCommit:
-		m = decodeCommit(d)
-	case TypeCheckpoint:
-		m = decodeCheckpoint(d)
-	case TypeViewChange:
-		m = decodeViewChange(d)
-	case TypeViewChangeAck:
-		m = decodeViewChangeAck(d)
-	case TypeNewView:
-		m = decodeNewView(d)
-	case TypeNewKey:
-		m = decodeNewKey(d)
-	case TypeStatus:
-		m = decodeStatus(d)
-	case TypeFetch:
-		m = decodeFetch(d)
-	case TypeMeta:
-		m = decodeMeta(d)
-	case TypeFragment:
-		m = decodeFragment(d)
-	case TypeRecovery:
-		m = decodeRecovery(d)
-	default:
+	if !Type(data[0]).valid() {
 		return nil, fmt.Errorf("%w: unknown type %d", ErrMalformed, data[0])
 	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", Type(data[0]), err)
+	m := types[data[0]].new()
+	if err := UnmarshalInto(data, m); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// UnmarshalInto decodes a wire message carrying m's type tag into m,
+// reusing the capacity of m's slices; byte-string fields alias data. On
+// error m holds partially decoded fields the caller must ignore. Decoding
+// into a value that is then reused for the next message is only safe when
+// the handler retains nothing of it: engines do so for prepare, commit and
+// reply, and give every other type the fresh value Unmarshal builds.
+//
+//bftvet:allocfree
+func UnmarshalInto(data []byte, m Message) error {
+	if len(data) == 0 || Type(data[0]) != m.Type() {
+		return fmt.Errorf("%w: not a %s", ErrMalformed, m.Type())
+	}
+	d := Decoder{buf: data[1:]}
+	decodeBody(&d, m)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("decoding %s: %w", m.Type(), err)
+	}
+	return nil
+}
+
+// decodeBody dispatches to m's decodeBody. It is a type switch and not a
+// method of Message on purpose: a call through the interface makes the
+// caller's stack Decoder escape (measured on the prepare decode: 1
+// allocation of 48 B and 107-116 ns against 0 and 68-72 ns this way).
+//
+//bftvet:allocfree
+func decodeBody(d *Decoder, m Message) {
+	switch m := m.(type) {
+	case *Request:
+		m.decodeBody(d)
+	case *Reply:
+		m.decodeBody(d)
+	case *PrePrepare:
+		m.decodeBody(d)
+	case *Prepare:
+		m.decodeBody(d)
+	case *Commit:
+		m.decodeBody(d)
+	case *Checkpoint:
+		m.decodeBody(d)
+	case *ViewChange:
+		m.decodeBody(d)
+	case *ViewChangeAck:
+		m.decodeBody(d)
+	case *NewView:
+		m.decodeBody(d)
+	case *NewKey:
+		m.decodeBody(d)
+	case *Status:
+		m.decodeBody(d)
+	case *Fetch:
+		m.decodeBody(d)
+	case *Meta:
+		m.decodeBody(d)
+	case *Fragment:
+		m.decodeBody(d)
+	case *Recovery:
+		m.decodeBody(d)
+	}
+}
+
+// authContent encodes what m's authenticator covers. For the types that
+// have a content method, the wire body is that same call followed by the
+// fields outside the MAC, so what is authenticated is what is sent.
+func authContent(e *Encoder, m interface{ content(*Encoder) }) []byte {
+	e.Reset()
+	m.content(e)
+	return e.Bytes()
 }
 
 // AllReplicas is the Replier value requesting full replies from every
@@ -150,20 +197,12 @@ type Request struct {
 	Auth      crypto.Authenticator
 }
 
-var _ Message = (*Request)(nil)
-
 // Type implements Message.
 func (*Request) Type() Type { return TypeRequest }
 
-// ContentDigest computes the request's identity digest via suite (metered).
-func (r *Request) ContentDigest(s *crypto.Suite) crypto.Digest {
-	var e Encoder
-	return r.ContentDigestWith(s, &e)
-}
-
-// ContentDigestWith is ContentDigest encoding through scratch encoder e
-// (reset first), so steady-state callers allocate nothing.
-func (r *Request) ContentDigestWith(s *crypto.Suite, e *Encoder) crypto.Digest {
+// ContentDigest computes the request's identity digest via suite (metered),
+// encoding its input through scratch encoder e (reset first).
+func (r *Request) ContentDigest(s *crypto.Suite, e *Encoder) crypto.Digest {
 	e.Reset()
 	e.I32(r.Client)
 	e.I64(r.Timestamp)
@@ -181,15 +220,13 @@ func (r *Request) encodeBody(e *Encoder) {
 	e.Auth(r.Auth)
 }
 
-func decodeRequest(d *Decoder) *Request {
-	return &Request{
-		Client:    d.I32(),
-		Timestamp: d.I64(),
-		ReadOnly:  d.Bool(),
-		Replier:   d.I32(),
-		Op:        d.Blob(),
-		Auth:      d.Auth(),
-	}
+func (r *Request) decodeBody(d *Decoder) {
+	r.Client = d.I32()
+	r.Timestamp = d.I64()
+	r.ReadOnly = d.Bool()
+	r.Replier = d.I32()
+	r.Op = d.Blob()
+	r.Auth = d.Auth(r.Auth)
 }
 
 // Reply carries an operation result back to the client. Under the
@@ -210,21 +247,10 @@ type Reply struct {
 	MAC       crypto.MAC
 }
 
-var _ Message = (*Reply)(nil)
-
 // Type implements Message.
 func (*Reply) Type() Type { return TypeReply }
 
-// AuthContent returns the bytes covered by the reply MAC.
-func (r *Reply) AuthContent() []byte {
-	var e Encoder
-	return r.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoding through scratch encoder e (reset
-// first); the result aliases e's buffer and is valid until e is reused.
-func (r *Reply) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (r *Reply) content(e *Encoder) {
 	e.I64(r.View)
 	e.I64(r.Timestamp)
 	e.I32(r.Client)
@@ -233,33 +259,29 @@ func (r *Reply) AuthContentInto(e *Encoder) []byte {
 	e.Bool(r.Full)
 	e.Blob(r.Result)
 	e.Digest(r.ResultD)
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the reply MAC, encoded through
+// scratch encoder e (reset first): the result aliases e's buffer and is
+// valid until e is reused. Every AuthContent below has this contract.
+func (r *Reply) AuthContent(e *Encoder) []byte { return authContent(e, r) }
 
 func (r *Reply) encodeBody(e *Encoder) {
-	e.I64(r.View)
-	e.I64(r.Timestamp)
-	e.I32(r.Client)
-	e.I32(r.Replica)
-	e.Bool(r.Tentative)
-	e.Bool(r.Full)
-	e.Blob(r.Result)
-	e.Digest(r.ResultD)
+	r.content(e)
 	e.MAC(r.MAC)
 }
 
-func decodeReply(d *Decoder) *Reply {
-	return &Reply{
-		View:      d.I64(),
-		Timestamp: d.I64(),
-		Client:    d.I32(),
-		Replica:   d.I32(),
-		Tentative: d.Bool(),
-		Full:      d.Bool(),
-		Result:    d.Blob(),
-		ResultD:   d.Digest(),
-		MAC:       d.MAC(),
-	}
+//bftvet:allocfree
+func (r *Reply) decodeBody(d *Decoder) {
+	r.View = d.I64()
+	r.Timestamp = d.I64()
+	r.Client = d.I32()
+	r.Replica = d.I32()
+	r.Tentative = d.Bool()
+	r.Full = d.Bool()
+	r.Result = d.Blob()
+	r.ResultD = d.Digest()
+	r.MAC = d.MAC()
 }
 
 // RequestRef names one request of a batch inside a pre-prepare: either the
@@ -280,6 +302,16 @@ type CommitRef struct {
 	Digest crypto.Digest
 }
 
+// Minimum encoded sizes of repeated-field elements, for Decoder.Count.
+const (
+	minRequestRef = 1 + 4 // inline flag + empty blob
+	sizeCommitRef = 8 + crypto.DigestSize
+	sizePQEntry   = 8 + 8 + crypto.DigestSize
+	sizeVCRef     = 4 + crypto.DigestSize
+	sizeNVBatch   = 8 + crypto.DigestSize
+	sizeKeyEntry  = 4 + crypto.KeySize
+)
+
 func encodeCommitRefs(e *Encoder, refs []CommitRef) {
 	e.Count(len(refs))
 	for _, c := range refs {
@@ -288,12 +320,9 @@ func encodeCommitRefs(e *Encoder, refs []CommitRef) {
 	}
 }
 
-func decodeCommitRefs(d *Decoder) []CommitRef {
-	n := d.Count()
-	if d.Err() != nil {
-		return nil
-	}
-	refs := make([]CommitRef, n)
+//bftvet:allocfree
+func decodeCommitRefs(d *Decoder, refs []CommitRef) []CommitRef {
+	refs = resize(refs, d.Count(sizeCommitRef))
 	for i := range refs {
 		refs[i] = CommitRef{Seq: d.I64(), Digest: d.Digest()}
 	}
@@ -311,20 +340,12 @@ type PrePrepare struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*PrePrepare)(nil)
-
 // Type implements Message.
 func (*PrePrepare) Type() Type { return TypePrePrepare }
 
-// BatchDigest folds the ordered request digests into the batch identity.
-func BatchDigest(s *crypto.Suite, reqDigests []crypto.Digest) crypto.Digest {
-	var e Encoder
-	return BatchDigestWith(s, &e, reqDigests)
-}
-
-// BatchDigestWith is BatchDigest encoding through scratch encoder e (reset
-// first).
-func BatchDigestWith(s *crypto.Suite, e *Encoder, reqDigests []crypto.Digest) crypto.Digest {
+// BatchDigest folds the ordered request digests into the batch identity,
+// encoding through scratch encoder e (reset first).
+func BatchDigest(s *crypto.Suite, e *Encoder, reqDigests []crypto.Digest) crypto.Digest {
 	e.Reset()
 	for _, d := range reqDigests {
 		e.Digest(d)
@@ -332,38 +353,28 @@ func BatchDigestWith(s *crypto.Suite, e *Encoder, reqDigests []crypto.Digest) cr
 	return s.Digest(e.Bytes())
 }
 
-// OrderContent returns the bytes covered by ordering-phase authenticators
-// for the tuple (view, seq, batch digest).
-func OrderContent(view, seq int64, batch crypto.Digest) []byte {
-	var e Encoder
-	return OrderContentInto(&e, view, seq, batch)
-}
-
-// OrderContentInto is OrderContent encoding through scratch encoder e
-// (reset first); the result aliases e's buffer and is valid until e is
-// reused.
-func OrderContentInto(e *Encoder, view, seq int64, batch crypto.Digest) []byte {
-	e.Reset()
+// order appends the tuple every ordering-phase authenticator covers.
+func order(e *Encoder, view, seq int64, batch crypto.Digest) {
 	e.I64(view)
 	e.I64(seq)
 	e.Digest(batch)
+}
+
+// OrderContent returns the bytes covered by a commit's authenticator: the
+// tuple (view, seq, batch digest). Same scratch contract as AuthContent.
+func OrderContent(e *Encoder, view, seq int64, batch crypto.Digest) []byte {
+	e.Reset()
+	order(e, view, seq, batch)
 	return e.Bytes()
 }
 
-// OrderContentWithCommits extends OrderContent to cover piggybacked commit
-// references, so a tampered piggyback cannot forge commits.
-func OrderContentWithCommits(view, seq int64, batch crypto.Digest, commits []CommitRef) []byte {
-	var e Encoder
-	return OrderContentWithCommitsInto(&e, view, seq, batch, commits)
-}
-
-// OrderContentWithCommitsInto is OrderContentWithCommits encoding through
-// scratch encoder e (reset first).
-func OrderContentWithCommitsInto(e *Encoder, view, seq int64, batch crypto.Digest, commits []CommitRef) []byte {
+// OrderContentWithCommits returns the bytes covered by the authenticator of
+// a pre-prepare or prepare: OrderContent extended by the piggybacked commit
+// references (their count even when there are none), so a tampered
+// piggyback cannot forge commits.
+func OrderContentWithCommits(e *Encoder, view, seq int64, batch crypto.Digest, commits []CommitRef) []byte {
 	e.Reset()
-	e.I64(view)
-	e.I64(seq)
-	e.Digest(batch)
+	order(e, view, seq, batch)
 	encodeCommitRefs(e, commits)
 	return e.Bytes()
 }
@@ -385,14 +396,12 @@ func (p *PrePrepare) encodeBody(e *Encoder) {
 	e.Auth(p.Auth)
 }
 
-func decodePrePrepare(d *Decoder) *PrePrepare {
-	p := &PrePrepare{View: d.I64(), Seq: d.I64()}
-	n := d.Count()
-	if d.Err() != nil {
-		return p
-	}
-	p.Refs = make([]RequestRef, n)
+func (p *PrePrepare) decodeBody(d *Decoder) {
+	p.View = d.I64()
+	p.Seq = d.I64()
+	p.Refs = resize(p.Refs, d.Count(minRequestRef))
 	for i := range p.Refs {
+		p.Refs[i] = RequestRef{}
 		if d.Bool() {
 			b := d.Blob()
 			if b == nil {
@@ -403,9 +412,8 @@ func decodePrePrepare(d *Decoder) *PrePrepare {
 			p.Refs[i].Digest = d.Digest()
 		}
 	}
-	p.Commits = decodeCommitRefs(d)
-	p.Auth = d.Auth()
-	return p
+	p.Commits = decodeCommitRefs(d, p.Commits)
+	p.Auth = d.Auth(p.Auth)
 }
 
 // Prepare is a backup's acknowledgement of a pre-prepare. A replica that
@@ -419,29 +427,24 @@ type Prepare struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*Prepare)(nil)
-
 // Type implements Message.
 func (*Prepare) Type() Type { return TypePrepare }
 
 func (p *Prepare) encodeBody(e *Encoder) {
-	e.I64(p.View)
-	e.I64(p.Seq)
-	e.Digest(p.Digest)
+	order(e, p.View, p.Seq, p.Digest)
 	e.I32(p.Replica)
 	encodeCommitRefs(e, p.Commits)
 	e.Auth(p.Auth)
 }
 
-func decodePrepare(d *Decoder) *Prepare {
-	return &Prepare{
-		View:    d.I64(),
-		Seq:     d.I64(),
-		Digest:  d.Digest(),
-		Replica: d.I32(),
-		Commits: decodeCommitRefs(d),
-		Auth:    d.Auth(),
-	}
+//bftvet:allocfree
+func (p *Prepare) decodeBody(d *Decoder) {
+	p.View = d.I64()
+	p.Seq = d.I64()
+	p.Digest = d.Digest()
+	p.Replica = d.I32()
+	p.Commits = decodeCommitRefs(d, p.Commits)
+	p.Auth = d.Auth(p.Auth)
 }
 
 // Commit announces that a replica prepared the batch; 2f+1 commits make it
@@ -454,27 +457,22 @@ type Commit struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*Commit)(nil)
-
 // Type implements Message.
 func (*Commit) Type() Type { return TypeCommit }
 
 func (c *Commit) encodeBody(e *Encoder) {
-	e.I64(c.View)
-	e.I64(c.Seq)
-	e.Digest(c.Digest)
+	order(e, c.View, c.Seq, c.Digest)
 	e.I32(c.Replica)
 	e.Auth(c.Auth)
 }
 
-func decodeCommit(d *Decoder) *Commit {
-	return &Commit{
-		View:    d.I64(),
-		Seq:     d.I64(),
-		Digest:  d.Digest(),
-		Replica: d.I32(),
-		Auth:    d.Auth(),
-	}
+//bftvet:allocfree
+func (c *Commit) decodeBody(d *Decoder) {
+	c.View = d.I64()
+	c.Seq = d.I64()
+	c.Digest = d.Digest()
+	c.Replica = d.I32()
+	c.Auth = d.Auth(c.Auth)
 }
 
 // Checkpoint announces the digest of a replica's state after executing all
@@ -487,40 +485,30 @@ type Checkpoint struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*Checkpoint)(nil)
-
 // Type implements Message.
 func (*Checkpoint) Type() Type { return TypeCheckpoint }
 
-// AuthContent returns the bytes covered by the checkpoint authenticator.
-func (c *Checkpoint) AuthContent() []byte {
-	var e Encoder
-	return c.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoding through scratch encoder e (reset
-// first).
-func (c *Checkpoint) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (c *Checkpoint) content(e *Encoder) {
 	e.I64(c.Seq)
 	e.Digest(c.StateD)
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the checkpoint authenticator.
+// Replica is outside it: matching checkpoints from different replicas
+// authenticate the same bytes.
+func (c *Checkpoint) AuthContent(e *Encoder) []byte { return authContent(e, c) }
 
 func (c *Checkpoint) encodeBody(e *Encoder) {
-	e.I64(c.Seq)
-	e.Digest(c.StateD)
+	c.content(e)
 	e.I32(c.Replica)
 	e.Auth(c.Auth)
 }
 
-func decodeCheckpoint(d *Decoder) *Checkpoint {
-	return &Checkpoint{
-		Seq:     d.I64(),
-		StateD:  d.Digest(),
-		Replica: d.I32(),
-		Auth:    d.Auth(),
-	}
+func (c *Checkpoint) decodeBody(d *Decoder) {
+	c.Seq = d.I64()
+	c.StateD = d.Digest()
+	c.Replica = d.I32()
+	c.Auth = d.Auth(c.Auth)
 }
 
 // PQEntry describes one sequence number in a view-change message: the
@@ -541,12 +529,8 @@ func encodePQ(e *Encoder, entries []PQEntry) {
 	}
 }
 
-func decodePQ(d *Decoder) []PQEntry {
-	n := d.Count()
-	if d.Err() != nil {
-		return nil
-	}
-	entries := make([]PQEntry, n)
+func decodePQ(d *Decoder, entries []PQEntry) []PQEntry {
+	entries = resize(entries, d.Count(sizePQEntry))
 	for i := range entries {
 		entries[i] = PQEntry{Seq: d.I64(), View: d.I64(), Digest: d.Digest()}
 	}
@@ -568,51 +552,35 @@ type ViewChange struct {
 	Auth       crypto.Authenticator
 }
 
-var _ Message = (*ViewChange)(nil)
-
 // Type implements Message.
 func (*ViewChange) Type() Type { return TypeViewChange }
 
+func (v *ViewChange) content(e *Encoder) {
+	e.I64(v.NewView)
+	e.I64(v.LastStable)
+	e.Digest(v.StableD)
+	encodePQ(e, v.Prepared)
+	encodePQ(e, v.PrePrep)
+	e.I32(v.Replica)
+}
+
 // AuthContent returns the bytes covered by the view-change authenticator
 // and hashed into the digest that acks and new-view messages reference.
-func (v *ViewChange) AuthContent() []byte {
-	var e Encoder
-	return v.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoded through a reusable scratch
-// encoder; the result aliases e's buffer.
-func (v *ViewChange) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
-	e.I64(v.NewView)
-	e.I64(v.LastStable)
-	e.Digest(v.StableD)
-	encodePQ(e, v.Prepared)
-	encodePQ(e, v.PrePrep)
-	e.I32(v.Replica)
-	return e.Bytes()
-}
+func (v *ViewChange) AuthContent(e *Encoder) []byte { return authContent(e, v) }
 
 func (v *ViewChange) encodeBody(e *Encoder) {
-	e.I64(v.NewView)
-	e.I64(v.LastStable)
-	e.Digest(v.StableD)
-	encodePQ(e, v.Prepared)
-	encodePQ(e, v.PrePrep)
-	e.I32(v.Replica)
+	v.content(e)
 	e.Auth(v.Auth)
 }
 
-func decodeViewChange(d *Decoder) *ViewChange {
-	return &ViewChange{
-		NewView:    d.I64(),
-		LastStable: d.I64(),
-		StableD:    d.Digest(),
-		Prepared:   decodePQ(d),
-		PrePrep:    decodePQ(d),
-		Replica:    d.I32(),
-		Auth:       d.Auth(),
-	}
+func (v *ViewChange) decodeBody(d *Decoder) {
+	v.NewView = d.I64()
+	v.LastStable = d.I64()
+	v.StableD = d.Digest()
+	v.Prepared = decodePQ(d, v.Prepared)
+	v.PrePrep = decodePQ(d, v.PrePrep)
+	v.Replica = d.I32()
+	v.Auth = d.Auth(v.Auth)
 }
 
 // ViewChangeAck tells the new primary that Replica received Origin's
@@ -626,44 +594,30 @@ type ViewChangeAck struct {
 	MAC     crypto.MAC // point-to-point to the new primary
 }
 
-var _ Message = (*ViewChangeAck)(nil)
-
 // Type implements Message.
 func (*ViewChangeAck) Type() Type { return TypeViewChangeAck }
 
-// AuthContent returns the bytes covered by the ack MAC.
-func (a *ViewChangeAck) AuthContent() []byte {
-	var e Encoder
-	return a.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoded through a reusable scratch
-// encoder; the result aliases e's buffer.
-func (a *ViewChangeAck) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (a *ViewChangeAck) content(e *Encoder) {
 	e.I64(a.View)
 	e.I32(a.Replica)
 	e.I32(a.Origin)
 	e.Digest(a.VCD)
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the ack MAC.
+func (a *ViewChangeAck) AuthContent(e *Encoder) []byte { return authContent(e, a) }
 
 func (a *ViewChangeAck) encodeBody(e *Encoder) {
-	e.I64(a.View)
-	e.I32(a.Replica)
-	e.I32(a.Origin)
-	e.Digest(a.VCD)
+	a.content(e)
 	e.MAC(a.MAC)
 }
 
-func decodeViewChangeAck(d *Decoder) *ViewChangeAck {
-	return &ViewChangeAck{
-		View:    d.I64(),
-		Replica: d.I32(),
-		Origin:  d.I32(),
-		VCD:     d.Digest(),
-		MAC:     d.MAC(),
-	}
+func (a *ViewChangeAck) decodeBody(d *Decoder) {
+	a.View = d.I64()
+	a.Replica = d.I32()
+	a.Origin = d.I32()
+	a.VCD = d.Digest()
+	a.MAC = d.MAC()
 }
 
 // VCRef identifies a view-change message accepted into a new-view.
@@ -691,21 +645,10 @@ type NewView struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*NewView)(nil)
-
 // Type implements Message.
 func (*NewView) Type() Type { return TypeNewView }
 
-// AuthContent returns the bytes covered by the new-view authenticator.
-func (n *NewView) AuthContent() []byte {
-	var e Encoder
-	return n.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoded through a reusable scratch
-// encoder; the result aliases e's buffer.
-func (n *NewView) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (n *NewView) content(e *Encoder) {
 	e.I64(n.View)
 	e.Count(len(n.VCs))
 	for _, v := range n.VCs {
@@ -718,46 +661,28 @@ func (n *NewView) AuthContentInto(e *Encoder) []byte {
 		e.I64(b.Seq)
 		e.Digest(b.Digest)
 	}
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the new-view authenticator.
+func (n *NewView) AuthContent(e *Encoder) []byte { return authContent(e, n) }
 
 func (n *NewView) encodeBody(e *Encoder) {
-	e.I64(n.View)
-	e.Count(len(n.VCs))
-	for _, v := range n.VCs {
-		e.I32(v.Replica)
-		e.Digest(v.Digest)
-	}
-	e.I64(n.MinSeq)
-	e.Count(len(n.Batches))
-	for _, b := range n.Batches {
-		e.I64(b.Seq)
-		e.Digest(b.Digest)
-	}
+	n.content(e)
 	e.Auth(n.Auth)
 }
 
-func decodeNewView(d *Decoder) *NewView {
-	n := &NewView{View: d.I64()}
-	cnt := d.Count()
-	if d.Err() != nil {
-		return n
-	}
-	n.VCs = make([]VCRef, cnt)
+func (n *NewView) decodeBody(d *Decoder) {
+	n.View = d.I64()
+	n.VCs = resize(n.VCs, d.Count(sizeVCRef))
 	for i := range n.VCs {
 		n.VCs[i] = VCRef{Replica: d.I32(), Digest: d.Digest()}
 	}
 	n.MinSeq = d.I64()
-	cnt = d.Count()
-	if d.Err() != nil {
-		return n
-	}
-	n.Batches = make([]NVBatch, cnt)
+	n.Batches = resize(n.Batches, d.Count(sizeNVBatch))
 	for i := range n.Batches {
 		n.Batches[i] = NVBatch{Seq: d.I64(), Digest: d.Digest()}
 	}
-	n.Auth = d.Auth()
-	return n
+	n.Auth = d.Auth(n.Auth)
 }
 
 // KeyEntry assigns a fresh inbound session key to one sender.
@@ -778,14 +703,10 @@ type NewKey struct {
 	Auth    crypto.Authenticator // computed under master keys
 }
 
-var _ Message = (*NewKey)(nil)
-
 // Type implements Message.
 func (*NewKey) Type() Type { return TypeNewKey }
 
-// AuthContent returns the bytes covered by the new-key authenticator.
-func (n *NewKey) AuthContent() []byte {
-	e := NewEncoder(32 + len(n.Keys)*(4+crypto.KeySize))
+func (n *NewKey) content(e *Encoder) {
 	e.I32(n.Replica)
 	e.I64(n.Epoch)
 	e.Count(len(n.Keys))
@@ -793,32 +714,24 @@ func (n *NewKey) AuthContent() []byte {
 		e.I32(k.Replica)
 		e.Key(k.Key)
 	}
-	return e.Bytes()
 }
 
+// AuthContent returns the bytes covered by the new-key authenticator.
+func (n *NewKey) AuthContent(e *Encoder) []byte { return authContent(e, n) }
+
 func (n *NewKey) encodeBody(e *Encoder) {
-	e.I32(n.Replica)
-	e.I64(n.Epoch)
-	e.Count(len(n.Keys))
-	for _, k := range n.Keys {
-		e.I32(k.Replica)
-		e.Key(k.Key)
-	}
+	n.content(e)
 	e.Auth(n.Auth)
 }
 
-func decodeNewKey(d *Decoder) *NewKey {
-	n := &NewKey{Replica: d.I32(), Epoch: d.I64()}
-	cnt := d.Count()
-	if d.Err() != nil {
-		return n
-	}
-	n.Keys = make([]KeyEntry, cnt)
+func (n *NewKey) decodeBody(d *Decoder) {
+	n.Replica = d.I32()
+	n.Epoch = d.I64()
+	n.Keys = resize(n.Keys, d.Count(sizeKeyEntry))
 	for i := range n.Keys {
 		n.Keys[i] = KeyEntry{Replica: d.I32(), Key: d.Key()}
 	}
-	n.Auth = d.Auth()
-	return n
+	n.Auth = d.Auth(n.Auth)
 }
 
 // Status summarizes a replica's progress so peers can retransmit what it
@@ -833,47 +746,32 @@ type Status struct {
 	Auth         crypto.Authenticator
 }
 
-var _ Message = (*Status)(nil)
-
 // Type implements Message.
 func (*Status) Type() Type { return TypeStatus }
 
-// AuthContent returns the bytes covered by the status authenticator.
-func (s *Status) AuthContent() []byte {
-	var e Encoder
-	return s.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoding through scratch encoder e (reset
-// first).
-func (s *Status) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (s *Status) content(e *Encoder) {
 	e.I64(s.View)
 	e.Bool(s.InViewChange)
 	e.I64(s.LastStable)
 	e.I64(s.LastExec)
 	e.I32(s.Replica)
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the status authenticator.
+func (s *Status) AuthContent(e *Encoder) []byte { return authContent(e, s) }
 
 func (s *Status) encodeBody(e *Encoder) {
-	e.I64(s.View)
-	e.Bool(s.InViewChange)
-	e.I64(s.LastStable)
-	e.I64(s.LastExec)
-	e.I32(s.Replica)
+	s.content(e)
 	e.Auth(s.Auth)
 }
 
-func decodeStatus(d *Decoder) *Status {
-	return &Status{
-		View:         d.I64(),
-		InViewChange: d.Bool(),
-		LastStable:   d.I64(),
-		LastExec:     d.I64(),
-		Replica:      d.I32(),
-		Auth:         d.Auth(),
-	}
+func (s *Status) decodeBody(d *Decoder) {
+	s.View = d.I64()
+	s.InViewChange = d.Bool()
+	s.LastStable = d.I64()
+	s.LastExec = d.I64()
+	s.Replica = d.I32()
+	s.Auth = d.Auth(s.Auth)
 }
 
 // Fetch asks for state-transfer data: the meta-data (child digests) or the
@@ -894,21 +792,10 @@ type Fetch struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*Fetch)(nil)
-
 // Type implements Message.
 func (*Fetch) Type() Type { return TypeFetch }
 
-// AuthContent returns the bytes covered by the fetch authenticator.
-func (f *Fetch) AuthContent() []byte {
-	var e Encoder
-	return f.AuthContentInto(&e)
-}
-
-// AuthContentInto is AuthContent encoding through scratch encoder e (reset
-// first).
-func (f *Fetch) AuthContentInto(e *Encoder) []byte {
-	e.Reset()
+func (f *Fetch) content(e *Encoder) {
 	e.I32(f.Level)
 	e.I64(f.Index)
 	e.I64(f.Seq)
@@ -917,36 +804,26 @@ func (f *Fetch) AuthContentInto(e *Encoder) []byte {
 		e.I32(i)
 	}
 	e.I32(f.Replica)
-	return e.Bytes()
 }
+
+// AuthContent returns the bytes covered by the fetch authenticator.
+func (f *Fetch) AuthContent(e *Encoder) []byte { return authContent(e, f) }
 
 func (f *Fetch) encodeBody(e *Encoder) {
-	e.I32(f.Level)
-	e.I64(f.Index)
-	e.I64(f.Seq)
-	e.Count(len(f.Missing))
-	for _, i := range f.Missing {
-		e.I32(i)
-	}
-	e.I32(f.Replica)
+	f.content(e)
 	e.Auth(f.Auth)
 }
 
-func decodeFetch(d *Decoder) *Fetch {
-	f := &Fetch{
-		Level: d.I32(),
-		Index: d.I64(),
-		Seq:   d.I64(),
-	}
-	if n := d.Count(); n > 0 && d.err == nil {
-		f.Missing = make([]int32, n)
-		for i := range f.Missing {
-			f.Missing[i] = d.I32()
-		}
+func (f *Fetch) decodeBody(d *Decoder) {
+	f.Level = d.I32()
+	f.Index = d.I64()
+	f.Seq = d.I64()
+	f.Missing = resize(f.Missing, d.Count(4))
+	for i := range f.Missing {
+		f.Missing[i] = d.I32()
 	}
 	f.Replica = d.I32()
-	f.Auth = d.Auth()
-	return f
+	f.Auth = d.Auth(f.Auth)
 }
 
 // Meta answers a Fetch for an interior partition: the digests of its
@@ -959,8 +836,6 @@ type Meta struct {
 	Children []crypto.Digest
 	Replica  int32
 }
-
-var _ Message = (*Meta)(nil)
 
 // Type implements Message.
 func (*Meta) Type() Type { return TypeMeta }
@@ -976,18 +851,15 @@ func (m *Meta) encodeBody(e *Encoder) {
 	e.I32(m.Replica)
 }
 
-func decodeMeta(d *Decoder) *Meta {
-	m := &Meta{Level: d.I32(), Index: d.I64(), Seq: d.I64()}
-	cnt := d.Count()
-	if d.Err() != nil {
-		return m
-	}
-	m.Children = make([]crypto.Digest, cnt)
+func (m *Meta) decodeBody(d *Decoder) {
+	m.Level = d.I32()
+	m.Index = d.I64()
+	m.Seq = d.I64()
+	m.Children = resize(m.Children, d.Count(crypto.DigestSize))
 	for i := range m.Children {
 		m.Children[i] = d.Digest()
 	}
 	m.Replica = d.I32()
-	return m
 }
 
 // Fragment answers a Fetch for a leaf partition: the page bytes at
@@ -999,8 +871,6 @@ type Fragment struct {
 	Replica int32
 }
 
-var _ Message = (*Fragment)(nil)
-
 // Type implements Message.
 func (*Fragment) Type() Type { return TypeFragment }
 
@@ -1011,13 +881,11 @@ func (f *Fragment) encodeBody(e *Encoder) {
 	e.I32(f.Replica)
 }
 
-func decodeFragment(d *Decoder) *Fragment {
-	return &Fragment{
-		Index:   d.I64(),
-		Seq:     d.I64(),
-		Data:    d.Blob(),
-		Replica: d.I32(),
-	}
+func (f *Fragment) decodeBody(d *Decoder) {
+	f.Index = d.I64()
+	f.Seq = d.I64()
+	f.Data = d.Blob()
+	f.Replica = d.I32()
 }
 
 // Recovery announces that Replica is proactively recovering: it has
@@ -1030,29 +898,24 @@ type Recovery struct {
 	Auth    crypto.Authenticator
 }
 
-var _ Message = (*Recovery)(nil)
-
 // Type implements Message.
 func (*Recovery) Type() Type { return TypeRecovery }
 
-// AuthContent returns the bytes covered by the recovery authenticator.
-func (r *Recovery) AuthContent() []byte {
-	e := NewEncoder(16)
+func (r *Recovery) content(e *Encoder) {
 	e.I32(r.Replica)
 	e.I64(r.Epoch)
-	return e.Bytes()
 }
 
+// AuthContent returns the bytes covered by the recovery authenticator.
+func (r *Recovery) AuthContent(e *Encoder) []byte { return authContent(e, r) }
+
 func (r *Recovery) encodeBody(e *Encoder) {
-	e.I32(r.Replica)
-	e.I64(r.Epoch)
+	r.content(e)
 	e.Auth(r.Auth)
 }
 
-func decodeRecovery(d *Decoder) *Recovery {
-	return &Recovery{
-		Replica: d.I32(),
-		Epoch:   d.I64(),
-		Auth:    d.Auth(),
-	}
+func (r *Recovery) decodeBody(d *Decoder) {
+	r.Replica = d.I32()
+	r.Epoch = d.I64()
+	r.Auth = d.Auth(r.Auth)
 }

@@ -34,6 +34,9 @@ func keyOf(b byte) crypto.Key {
 	return k
 }
 
+// marshal is Marshal through a throwaway encoder.
+func marshal(m Message) []byte { return Marshal(new(Encoder), m) }
+
 func sampleMessages() []Message {
 	return []Message{
 		&Request{Client: 7, Timestamp: 42, ReadOnly: true, Replier: 2,
@@ -68,6 +71,7 @@ func sampleMessages() []Message {
 		&Status{View: 4, InViewChange: true, LastStable: 256, LastExec: 260, Replica: 0,
 			Auth: crypto.Authenticator{macOf(5)}},
 		&Fetch{Level: 1, Index: 17, Seq: 256, Replica: 2, Auth: crypto.Authenticator{macOf(6)}},
+		&Fetch{Level: -1, Index: 130, Seq: 128, Missing: []int32{0, 2}, Replica: 1, Auth: crypto.Authenticator{macOf(6)}},
 		&Meta{Level: 1, Index: 17, Seq: 256, Children: []crypto.Digest{digestOf(20), digestOf(21)}, Replica: 1},
 		&Fragment{Index: 33, Seq: 256, Data: bytes.Repeat([]byte{0xEE}, 4096), Replica: 3},
 		&Recovery{Replica: 1, Epoch: 9, Auth: crypto.Authenticator{macOf(7)}},
@@ -78,7 +82,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 	for _, m := range sampleMessages() {
 		m := m
 		t.Run(m.Type().String(), func(t *testing.T) {
-			data := Marshal(m)
+			data := marshal(m)
 			got, err := Unmarshal(data)
 			if err != nil {
 				t.Fatalf("Unmarshal: %v", err)
@@ -136,7 +140,7 @@ func TestUnmarshalRejectsEmptyAndUnknown(t *testing.T) {
 
 func TestUnmarshalRejectsTrailingBytes(t *testing.T) {
 	for _, m := range sampleMessages() {
-		data := append(Marshal(m), 0x00)
+		data := append(marshal(m), 0x00)
 		if _, err := Unmarshal(data); err == nil {
 			t.Fatalf("%s: trailing byte accepted", m.Type())
 		}
@@ -145,7 +149,7 @@ func TestUnmarshalRejectsTrailingBytes(t *testing.T) {
 
 func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
 	for _, m := range sampleMessages() {
-		data := Marshal(m)
+		data := marshal(m)
 		for cut := 0; cut < len(data); cut++ {
 			if _, err := Unmarshal(data[:cut]); err == nil && cut < len(data) {
 				// A strict prefix may only decode successfully if it is
@@ -160,7 +164,7 @@ func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
 func TestUnmarshalRandomMutationsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, m := range sampleMessages() {
-		orig := Marshal(m)
+		orig := marshal(m)
 		for trial := 0; trial < 200; trial++ {
 			data := append([]byte{}, orig...)
 			for flips := 0; flips < 1+rng.Intn(4); flips++ {
@@ -202,7 +206,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 	f := func(client int32, ts int64, ro bool, replier int32, op []byte) bool {
 		in := &Request{Client: client, Timestamp: ts, ReadOnly: ro, Replier: replier, Op: op,
 			Auth: crypto.Authenticator{macOf(1), macOf(2), macOf(3)}}
-		out, err := Unmarshal(Marshal(in))
+		out, err := Unmarshal(marshal(in))
 		if err != nil {
 			return false
 		}
@@ -217,21 +221,21 @@ func TestRequestDigestExcludesReplier(t *testing.T) {
 	s := crypto.NewSuite(crypto.NewKeyTable(0), nil)
 	a := &Request{Client: 1, Timestamp: 2, Op: []byte("op"), Replier: 0}
 	b := &Request{Client: 1, Timestamp: 2, Op: []byte("op"), Replier: AllReplicas}
-	if a.ContentDigest(s) != b.ContentDigest(s) {
+	if a.ContentDigest(s, new(Encoder)) != b.ContentDigest(s, new(Encoder)) {
 		t.Fatal("request digest depends on the replier field")
 	}
 	c := &Request{Client: 1, Timestamp: 3, Op: []byte("op")}
-	if a.ContentDigest(s) == c.ContentDigest(s) {
+	if a.ContentDigest(s, new(Encoder)) == c.ContentDigest(s, new(Encoder)) {
 		t.Fatal("request digest ignores the timestamp")
 	}
 }
 
 func TestOrderContentDistinguishesTuples(t *testing.T) {
-	base := OrderContent(1, 2, digestOf(3))
+	base := OrderContent(new(Encoder), 1, 2, digestOf(3))
 	for _, other := range [][]byte{
-		OrderContent(2, 2, digestOf(3)),
-		OrderContent(1, 3, digestOf(3)),
-		OrderContent(1, 2, digestOf(4)),
+		OrderContent(new(Encoder), 2, 2, digestOf(3)),
+		OrderContent(new(Encoder), 1, 3, digestOf(3)),
+		OrderContent(new(Encoder), 1, 2, digestOf(4)),
 	} {
 		if bytes.Equal(base, other) {
 			t.Fatal("distinct (view, seq, digest) tuples encode identically")
@@ -241,8 +245,8 @@ func TestOrderContentDistinguishesTuples(t *testing.T) {
 
 func TestBatchDigestOrderSensitive(t *testing.T) {
 	s := crypto.NewSuite(crypto.NewKeyTable(0), nil)
-	ab := BatchDigest(s, []crypto.Digest{digestOf(1), digestOf(2)})
-	ba := BatchDigest(s, []crypto.Digest{digestOf(2), digestOf(1)})
+	ab := BatchDigest(s, new(Encoder), []crypto.Digest{digestOf(1), digestOf(2)})
+	ba := BatchDigest(s, new(Encoder), []crypto.Digest{digestOf(2), digestOf(1)})
 	if ab == ba {
 		t.Fatal("batch digest is order-insensitive")
 	}
