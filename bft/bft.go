@@ -172,9 +172,14 @@ type Replica struct {
 // cfg.Trace additionally arms the flight recorder (see SetFlightDump).
 func StartReplica(cfg Config, sm StateMachine, keys *Keyring, net Network) (*Replica, error) {
 	reg := obs.NewRegistry()
-	if cfg.Phases == nil {
-		cfg.Phases = obs.NewPhaseTracker(reg, "phase.")
+	// The phase histograms consume the engine's trace events, so the engine
+	// always gets a recorder: the caller's flight ring, or a ring-less one.
+	flight, rec := cfg.Trace, cfg.Trace
+	if rec == nil {
+		rec = obs.NewRecorder(int32(cfg.Self), 0)
 	}
+	rec.TrackPhases(reg, "phase.")
+	cfg.Trace = rec
 	engine, err := core.NewReplica(cfg, sm, keys, nil, nil)
 	if err != nil {
 		return nil, err
@@ -183,7 +188,7 @@ func StartReplica(cfg Config, sm StateMachine, keys *Keyring, net Network) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	r := &Replica{engine: engine, node: node, net: net, cfg: cfg, flight: cfg.Trace}
+	r := &Replica{engine: engine, node: node, net: net, cfg: cfg, flight: flight}
 	r.initRegistry(reg)
 	return r, nil
 }

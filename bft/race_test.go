@@ -9,11 +9,12 @@ import (
 
 // TestStatsConcurrentWithTraffic hammers the wall-time stats accessors
 // from many goroutines while the cluster serves operations. The engine's
-// Counters are plain fields mutated on the event loop — the determinism
-// contract forbids locking inside engines — so the only safe read path is
-// the one Replica.Stats/View/ClientStats take: an injected action on the
-// node's own event loop. Under -race (make test-race covers the whole
-// module) this test fails if anyone reintroduces a direct off-loop read.
+// Counters are plain fields mutated by handlers running under the node's
+// engine lock — the determinism contract forbids locking inside engines —
+// so the only safe read path is the one Replica.Stats/View/ClientStats
+// take: a closure run by Node.Do under that same lock. Under -race (make
+// test-race covers the whole module) this test fails if anyone
+// reintroduces a direct read outside the lock.
 func TestStatsConcurrentWithTraffic(t *testing.T) {
 	client, replicas, cleanup := startCluster(t, 4, []int{100})
 	defer cleanup()

@@ -38,13 +38,13 @@ func (r *Replica) HostStats() HostCounters {
 	return hc
 }
 
-// newReplicaRegistry wires every layer of a starting replica into one
-// obs.Registry: engine counters and progress marks ("engine."), phase
-// histograms ("phase.", via the PhaseTracker installed in cfg), mailbox
+// initRegistry wires every layer of a starting replica into one
+// obs.Registry: engine counters and progress marks ("engine."), mailbox
 // health ("transport."), UDP receive losses ("udp.") when the network is
-// UDP, and process-level gauges ("proc."). The registry and most gauges
-// read engine fields, so snapshots must run under the node's engine lock —
-// MetricsSnapshot does.
+// UDP, and process-level gauges ("proc."); StartReplica has already added
+// the phase histograms ("phase.") it attached to the engine's recorder.
+// The registry and most gauges read engine fields, so snapshots must run
+// under the node's engine lock — MetricsSnapshot does.
 func (r *Replica) initRegistry(reg *obs.Registry) {
 	r.reg = reg
 	r.engine.RegisterMetrics(reg, "engine.")

@@ -78,9 +78,14 @@ func TestReplicaTelemetry(t *testing.T) {
 	if got := series["bft_engine_executed_requests"]; got < ops {
 		t.Errorf("executed_requests = %v, want >= %d", got, ops)
 	}
-	if got := series["bft_phase_execute_ns_count"]; got < 1 {
-		t.Errorf("phase.execute_ns count = %v, want >= 1 (phase tracker not wired)", got)
+	for _, name := range phaseNames {
+		prom := "bft_" + strings.ReplaceAll(name, ".", "_") + "_count"
+		if got := series[prom]; got < 1 {
+			t.Errorf("%s = %v, want >= 1 (phase histograms not fed)", prom, got)
+		}
 	}
+	// The end-to-end benchmark reads the phase medians from replica 1.
+	waitPhaseSamples(t, replicas[1])
 	for _, name := range []string{"bft_transport_inbox_drops", "bft_transport_inbox_depth",
 		"bft_proc_goroutines", "bft_proc_heap_bytes", "bft_engine_view",
 		"bft_engine_checkpoint_retained", "bft_engine_checkpoint_materialized",
@@ -113,6 +118,87 @@ func TestReplicaTelemetry(t *testing.T) {
 	hc := replicas[0].HostStats()
 	if hc.InboxDrops != 0 {
 		t.Errorf("InboxDrops = %d on an idle channel network", hc.InboxDrops)
+	}
+}
+
+// phaseNames are the live phase histograms every replica exposes.
+var phaseNames = []string{"phase.prepare_ns", "phase.commit_ns", "phase.execute_ns"}
+
+// waitPhaseSamples waits until each of r's phase histograms holds a sample;
+// a batch's commit may trail its reply by one flush of held commits.
+func waitPhaseSamples(t *testing.T, r *bft.Replica) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ms, err := r.MetricsSnapshot()
+		if err != nil {
+			t.Fatalf("MetricsSnapshot: %v", err)
+		}
+		counts := map[string]int64{}
+		for _, m := range ms {
+			counts[m.Name] = m.Count
+		}
+		missing := ""
+		for _, name := range phaseNames {
+			if counts[name] < 1 {
+				missing = name
+			}
+		}
+		if missing == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s has no samples", missing)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestPhaseHistogramsWithAndWithoutFlightRing starts replica 0 with a
+// caller-supplied trace ring and the others without one. Every replica's
+// phase histograms must fill either way, and the flight recorder must stay
+// exactly as configured: events from replica 0, "disabled" from the rest.
+func TestPhaseHistogramsWithAndWithoutFlightRing(t *testing.T) {
+	net := bft.NewChannelNetwork()
+	rings := bft.NewKeyrings([]int{0, 1, 2, 3, 100})
+	if err := bft.Provision(rand.New(rand.NewSource(4)), rings); err != nil { //nolint:gosec
+		t.Fatal(err)
+	}
+	var replicas []*bft.Replica
+	for i := 0; i < 4; i++ {
+		cfg := bft.DefaultConfig(4, i)
+		if i == 0 {
+			cfg.Trace = bft.NewTraceRecorder(i, 1024)
+		}
+		r, err := bft.StartReplica(cfg, &counterSM{}, rings[i], net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		replicas = append(replicas, r)
+	}
+	client, err := bft.StartClient(bft.NewClientConfig(4, 100), rings[4], net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 4; i++ {
+		if _, err := client.Invoke(ctx, []byte("inc"), false); err != nil {
+			t.Fatalf("invoke: %v", err)
+		}
+	}
+
+	for _, r := range replicas[:2] {
+		waitPhaseSamples(t, r)
+	}
+	if evs, err := replicas[0].FlightEvents(); err != nil || len(evs) == 0 {
+		t.Errorf("replica 0 FlightEvents = %d events, %v; want events from its ring", len(evs), err)
+	}
+	if _, err := replicas[1].FlightEvents(); err == nil || !strings.Contains(err.Error(), "disabled") {
+		t.Errorf("replica 1 FlightEvents error = %v, want flight recorder disabled", err)
 	}
 }
 
@@ -188,9 +274,9 @@ func TestReplicaFlightDump(t *testing.T) {
 
 // TestReplicaCloseOrdering is the shutdown-ordering regression test: Close
 // must stop the telemetry server and flush the flight recorder before the
-// event loop dies, so the endpoint disappears cleanly (no scrape against a
-// dead node) and the dump file exists afterwards. A second Close must be
-// harmless.
+// node stops serving Node.Do, so the endpoint disappears cleanly (no
+// scrape against a dead node) and the dump file exists afterwards. A
+// second Close must be harmless.
 func TestReplicaCloseOrdering(t *testing.T) {
 	net := bft.NewChannelNetwork()
 	rings := bft.NewKeyrings([]int{0, 1, 2, 3, 100})
@@ -243,7 +329,7 @@ func TestReplicaCloseOrdering(t *testing.T) {
 	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Error("telemetry endpoint still reachable after Close")
 	}
-	// The final flush ran while the loop was alive.
+	// The final flush ran while the node still answered Node.Do.
 	file, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("flight ring not flushed on Close: %v", err)

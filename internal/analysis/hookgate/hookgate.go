@@ -9,10 +9,12 @@
 //		r.rec.Record(r.env.Now(), kind, seq, aux, aux2)
 //	}
 //
-// or the early-return equivalent (if x.f == nil { return } ...). The
-// analyzer flags method calls whose receiver is a struct-field selector
-// of an obs hook type (*obs.Recorder, *obs.Registry, *obs.Counter,
-// *obs.Gauge, *obs.Histogram) outside such a guard.
+// or the early-return equivalent (if x.f == nil { return } ...), which is
+// the shape an engine's trace helper takes to ask Recorder.Wants before
+// reading the clock. A call inside the condition that holds the nil check
+// (x.f != nil && x.f.Wants(k)) is not covered. The analyzer flags method
+// calls whose receiver is a struct-field selector of an obs hook type
+// (*obs.Recorder, *obs.Registry, *obs.Histogram) outside such a guard.
 //
 // Receivers that are plain locals or parameters are exempt: a local is
 // almost always the provably non-nil result of a constructor, and a
@@ -47,12 +49,9 @@ const obsPkgPath = "bftfast/internal/obs"
 
 // hookTypes are the obs types held behind nil-able hook fields.
 var hookTypes = map[string]bool{
-	"Recorder":     true,
-	"Registry":     true,
-	"Counter":      true,
-	"Gauge":        true,
-	"Histogram":    true,
-	"PhaseTracker": true,
+	"Recorder":  true,
+	"Registry":  true,
+	"Histogram": true,
 }
 
 func run(pass *analysis.Pass) error {

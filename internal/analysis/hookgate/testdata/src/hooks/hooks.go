@@ -11,8 +11,8 @@ import (
 type engine struct {
 	rec  *obs.Recorder
 	hist *obs.Histogram
-	drop *obs.Counter
-	deep struct{ gauge *obs.Gauge }
+	reg  *obs.Registry
+	deep struct{ lat *obs.Histogram }
 }
 
 // Violation: the canonical mistake — recording without the nil gate.
@@ -46,7 +46,20 @@ func (e *engine) deferred(now time.Duration) {
 
 // Violation: nested field chains are tracked by their full path.
 func (e *engine) nested(v int64) {
-	e.deep.gauge.Set(v) // want `obs\.Gauge hook e\.deep\.gauge\.Set called without a nil check`
+	e.deep.lat.Observe(v) // want `obs\.Histogram hook e\.deep\.lat\.Observe called without a nil check`
+}
+
+// Violation: the nil check in a condition does not cover a call in the
+// same condition; the kind filter needs the early-return form below.
+func (e *engine) wantsInCondition(now time.Duration, k obs.Kind) {
+	if e.rec != nil && e.rec.Wants(k) { // want `obs\.Recorder hook e\.rec\.Wants called without a nil check`
+		e.rec.Record(now, k, 1, 0, 0)
+	}
+}
+
+// Violation: registry hooks follow the same contract.
+func (e *engine) registerLate() {
+	e.reg.GaugeFunc("late", func() int64 { return 0 }) // want `obs\.Registry hook e\.reg\.GaugeFunc called without a nil check`
 }
 
 // Legal: the contract's canonical form.
@@ -66,27 +79,39 @@ func (e *engine) earlyReturn(lat []int64) {
 	}
 }
 
+// Legal: the engine trace helper's shape — nil check, then the kind
+// filter, both as early returns, before the clock is read.
+func (e *engine) trace(now func() time.Duration, k obs.Kind) {
+	if e.rec == nil {
+		return
+	}
+	if !e.rec.Wants(k) {
+		return
+	}
+	e.rec.Record(now(), k, 1, 0, 0)
+}
+
 // Legal: conjunction guards both fields it tests.
 func (e *engine) conjunction(now time.Duration, v int64) {
-	if e.rec != nil && e.deep.gauge != nil {
+	if e.rec != nil && e.deep.lat != nil {
 		e.rec.Record(now, 0, 3, 0, 0)
-		e.deep.gauge.Set(v)
+		e.deep.lat.Observe(v)
 	}
 }
 
 // Legal: locals and parameters are the caller's contract, not gated here.
-func register(reg *obs.Registry) *obs.Counter {
-	c := reg.Counter("drops")
-	c.Inc()
-	return c
+func register(reg *obs.Registry) *obs.Histogram {
+	h := reg.Histogram("drops")
+	h.Observe(1)
+	return h
 }
 
-// Legal: value methods on non-pointer expressions are not hook calls.
+// Legal: a guarded read through the field.
 func (e *engine) read() int64 {
-	if e.drop == nil {
+	if e.hist == nil {
 		return 0
 	}
-	return e.drop.Value()
+	return e.hist.Count()
 }
 
 // Suppressed: constructor sets the field unconditionally, documented.
@@ -97,20 +122,4 @@ type alwaysOn struct {
 func (a *alwaysOn) hot(now time.Duration) {
 	//bftvet:allow:hookgate rec is set unconditionally by the only constructor
 	a.rec.Record(now, 0, 4, 0, 0)
-}
-
-// Violation: phase-tracker hooks follow the same contract as recorders.
-type phased struct {
-	phases *obs.PhaseTracker
-}
-
-func (p *phased) executed(seq int64, now time.Duration) {
-	p.phases.Executed(seq, now) // want `obs\.PhaseTracker hook p\.phases\.Executed called without a nil check`
-}
-
-// Legal: the canonical gate.
-func (p *phased) committed(seq int64, now time.Duration) {
-	if p.phases != nil {
-		p.phases.Committed(seq, now)
-	}
 }

@@ -106,36 +106,3 @@ func TestParallelLeaderScalesSaturatedThroughput(t *testing.T) {
 		last = res.Throughput
 	}
 }
-
-// TestSummarizeByInstance checks the per-instance breakdown plumbing on a
-// real multi-instance run: instances partition the complete spans, each
-// instance saw work, and at g=1 the single bucket matches Summarize.
-func TestSummarizeByInstance(t *testing.T) {
-	p := quickParams()
-	p.Clients = 8
-	p.Instances = 2
-	p.Trace = true
-	res := RunMicro(p)
-	spans := obs.AssembleSpans(res.Events)
-
-	whole := obs.Summarize(spans, p.Warmup)
-	parts := obs.SummarizeByInstance(spans, p.Warmup, 2)
-	if len(parts) != 2 {
-		t.Fatalf("got %d breakdowns, want 2", len(parts))
-	}
-	total := 0
-	for i, bd := range parts {
-		if bd.Count == 0 {
-			t.Errorf("instance %d aggregated no spans", i)
-		}
-		total += bd.Count
-	}
-	if total != whole.Count {
-		t.Errorf("instance breakdowns cover %d spans, whole run has %d", total, whole.Count)
-	}
-
-	single := obs.SummarizeByInstance(spans, p.Warmup, 1)
-	if len(single) != 1 || single[0].Count != whole.Count || single[0].Total != whole.Total {
-		t.Errorf("g=1 breakdown %+v differs from Summarize %+v", single[0], whole)
-	}
-}

@@ -122,9 +122,13 @@ type Client struct {
 //
 //bftvet:allocfree
 func (c *Client) trace(kind obs.Kind, ts int64) {
-	if c.rec != nil {
-		c.rec.Record(c.env.Now(), kind, 0, int64(c.cfg.Self), ts)
+	if c.rec == nil {
+		return
 	}
+	if !c.rec.Wants(kind) {
+		return
+	}
+	c.rec.Record(c.env.Now(), kind, 0, int64(c.cfg.Self), ts)
 }
 
 // jitter returns a deterministic pseudo-random duration in [-d/4, d/4).

@@ -145,16 +145,12 @@ type Config struct {
 	RecoveryInterval time.Duration
 
 	// Trace receives protocol trace events stamped with Env.Now time; nil
-	// disables tracing (every hook then costs a single branch). The
-	// recorder must be private to this replica: it is written from the
-	// engine's event context without synchronization.
+	// disables tracing (every hook then costs a single branch). Live phase
+	// histograms, when wanted, are attached to the same recorder (see
+	// obs.Recorder.TrackPhases). The recorder must be private to this
+	// replica: it is written from the engine's event context without
+	// synchronization.
 	Trace *obs.Recorder
-
-	// Phases receives per-batch ordering-phase durations for the live
-	// telemetry plane (obs.PhaseTracker); nil disables phase recording
-	// under the same nil-gated zero-allocation hook contract as Trace.
-	// Like the recorder, it must be private to this replica.
-	Phases *obs.PhaseTracker
 }
 
 // DefaultConfig returns the paper's standard configuration for n replicas.

@@ -27,9 +27,6 @@ func (r *Replica) tryExecute() {
 				break
 			}
 			r.trace(obs.EvCommitted, r.lastExec, 0, 0)
-			if r.phases != nil {
-				r.phases.Committed(r.lastExec, r.env.Now())
-			}
 			r.lastCommittedExec = r.lastExec
 			r.onCommittedAdvance(r.lastExec)
 			progress = true
@@ -42,9 +39,6 @@ func (r *Replica) tryExecute() {
 			// Traced before execution so the commit boundary precedes the
 			// execute boundary (execution charges advance Env.Now).
 			r.trace(obs.EvCommitted, next, 0, 0)
-			if r.phases != nil {
-				r.phases.Committed(next, r.env.Now())
-			}
 			if !s.executed {
 				r.executeBatch(s, false)
 				s.executed = true
@@ -94,9 +88,6 @@ func (r *Replica) executeBatch(s *slot, tentative bool) {
 		tent = 1
 	}
 	r.trace(obs.EvExecuted, s.seq, tent, int64(len(s.requests)))
-	if r.phases != nil {
-		r.phases.Executed(s.seq, r.env.Now())
-	}
 	r.stats.ExecutedBatches++
 	for _, req := range s.requests {
 		if req == nil {

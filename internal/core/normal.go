@@ -166,9 +166,6 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	}
 
 	r.trace(obs.EvPrePrepareRecv, pp.Seq, pp.View, 0)
-	if r.phases != nil {
-		r.phases.PrePrepare(pp.Seq, r.env.Now())
-	}
 	if pp.Seq > r.maxKnownPP {
 		r.maxKnownPP = pp.Seq
 	}
@@ -332,9 +329,6 @@ func (r *Replica) advance(s *slot) {
 	f := r.cfg.F()
 	if s.checkPrepared(f) && !s.sentCommit {
 		r.trace(obs.EvPrepared, s.seq, s.view, 0)
-		if r.phases != nil {
-			r.phases.Prepared(s.seq, r.env.Now())
-		}
 		s.sentCommit = true
 		s.addCommit(s.batchDigest, int32(r.cfg.Self))
 		if r.cfg.Opts.PiggybackCommits && s.seq > r.holdCommitsAfter {
@@ -532,9 +526,6 @@ func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
 	pp.Auth = r.suite.Auth(r.cfg.N, content)
 	r.broadcast(pp)
 	r.trace(obs.EvPrePrepareSent, seq, r.view, int64(len(batch)))
-	if r.phases != nil {
-		r.phases.PrePrepare(seq, r.env.Now())
-	}
 
 	s := r.getSlot(seq)
 	s.havePP = true

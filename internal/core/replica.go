@@ -138,9 +138,8 @@ type Replica struct {
 	// chunked): with a Checkpointer service, the one O(state) pause left.
 	materialized int64
 
-	rec    *obs.Recorder     // nil disables tracing
-	phases *obs.PhaseTracker // nil disables live phase histograms
-	stats  Counters
+	rec   *obs.Recorder // nil disables tracing
+	stats Counters
 
 	// statusHeard[i] is the last Env.Now a status message arrived from
 	// replica i — the peer-liveness signal surfaced by /statusz. Purely
@@ -148,15 +147,22 @@ type Replica struct {
 	statusHeard []time.Duration
 }
 
-// trace records one protocol event stamped with the engine's current time.
-// With tracing disabled (nil recorder) the hook is a single branch; enabled,
-// it writes one slot of a preallocated ring — zero allocations either way.
+// trace records one protocol event stamped with the engine's current time;
+// it is the engine's only way into the recorder, ring and phase histograms
+// alike. With tracing disabled (nil recorder) the hook is a single branch,
+// and a kind no consumer reads (a per-request event on a recorder that only
+// feeds phase histograms) returns before the clock read. Enabled, it writes
+// one slot of a preallocated ring — zero allocations either way.
 //
 //bftvet:allocfree
 func (r *Replica) trace(kind obs.Kind, seq, aux, aux2 int64) {
-	if r.rec != nil {
-		r.rec.Record(r.env.Now(), kind, seq, aux, aux2)
+	if r.rec == nil {
+		return
 	}
+	if !r.rec.Wants(kind) {
+		return
+	}
+	r.rec.Record(r.env.Now(), kind, seq, aux, aux2)
 }
 
 // vcRecord tracks one replica's view-change message for some view and the
@@ -229,7 +235,6 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 		stChunks:    make(map[int64]*chunkedSnapshot),
 		peers:       peers,
 		rec:         cfg.Trace,
-		phases:      cfg.Phases,
 		statusHeard: make([]time.Duration, cfg.N),
 	}, nil
 }

@@ -11,35 +11,41 @@ import (
 
 // BenchPhaseTrackerObserve measures one full ordering-phase observation
 // cycle — pre-prepare mark plus prepared/committed/executed histogram
-// observations — the per-batch cost a replica pays with live telemetry
-// enabled.
+// observations, each a Record on a ring-less recorder with phase
+// histograms attached — the per-batch cost a replica pays with live
+// telemetry enabled.
 func BenchPhaseTrackerObserve(b *testing.B) {
-	reg := obs.NewRegistry()
-	tr := obs.NewPhaseTracker(reg, "phase.")
+	rec := obs.NewRecorder(0, 0)
+	rec.TrackPhases(obs.NewRegistry(), "phase.")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		seq := int64(i + 1)
-		at := time.Duration(i) * time.Microsecond
-		tr.PrePrepare(seq, at)
-		tr.Prepared(seq, at+10*time.Microsecond)
-		tr.Committed(seq, at+30*time.Microsecond)
-		tr.Executed(seq, at+40*time.Microsecond)
+		seq, at := int64(i+1), time.Duration(i)*time.Microsecond
+		rec.Record(at, obs.EvPrePrepareRecv, seq, 0, 0)
+		rec.Record(at+10*time.Microsecond, obs.EvPrepared, seq, 0, 0)
+		rec.Record(at+30*time.Microsecond, obs.EvCommitted, seq, 0, 0)
+		rec.Record(at+40*time.Microsecond, obs.EvExecuted, seq, 0, 1)
 	}
-	sink = int(tr.Missed())
+	sink = rec.Len()
+}
+
+// recordBatch records one batch's four phase boundaries, as a replica's
+// trace hook would, starting at the pre-prepare instant at.
+func recordBatch(rec *obs.Recorder, seq int64, at time.Duration) {
+	rec.Record(at, obs.EvPrePrepareRecv, seq, 0, 0)
+	rec.Record(at+10*time.Microsecond, obs.EvPrepared, seq, 0, 0)
+	rec.Record(at+30*time.Microsecond, obs.EvCommitted, seq, 0, 0)
+	rec.Record(at+40*time.Microsecond, obs.EvExecuted, seq, 0, 1)
 }
 
 // telemetryRegistry builds a registry shaped like a live replica's:
-// engine gauges, transport counters, and phase histograms with samples.
+// engine gauges, transport gauges, and phase histograms with samples.
 func telemetryRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
-	tr := obs.NewPhaseTracker(reg, "phase.")
+	rec := obs.NewRecorder(0, 0)
+	rec.TrackPhases(reg, "phase.")
 	for seq := int64(1); seq <= 256; seq++ {
-		at := time.Duration(seq) * time.Microsecond
-		tr.PrePrepare(seq, at)
-		tr.Prepared(seq, at+10*time.Microsecond)
-		tr.Committed(seq, at+30*time.Microsecond)
-		tr.Executed(seq, at+40*time.Microsecond)
+		recordBatch(rec, seq, time.Duration(seq)*time.Microsecond)
 	}
 	for _, name := range []string{
 		"engine.executed_requests", "engine.executed_batches", "engine.view",
@@ -48,7 +54,8 @@ func telemetryRegistry() *obs.Registry {
 		"udp.oversized",
 		"proc.goroutines", "proc.heap_bytes", "proc.uptime_seconds",
 	} {
-		reg.Gauge(name).Set(int64(len(name)))
+		v := int64(len(name))
+		reg.GaugeFunc(name, func() int64 { return v })
 	}
 	return reg
 }

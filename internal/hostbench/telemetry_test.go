@@ -9,34 +9,23 @@ import (
 	"bftfast/internal/obs/telemetry"
 )
 
-// TestPhaseHookAllocs pins the phase-tracker hook to the same contract as
-// the trace hooks: disabled (nil tracker) is a bare branch, and enabled is
-// a slot write plus histogram observations — zero heap allocations on both
-// sides, including across slot eviction, the steady state of a long run.
+// TestPhaseHookAllocs pins the phase histograms to the same contract as
+// the trace hooks: a recorder with phases attached still records with zero
+// heap allocations, both ring-less (a host replica without a flight ring)
+// and beside a wrapping ring, including across phase-slot eviction, the
+// steady state of a long run.
 func TestPhaseHookAllocs(t *testing.T) {
-	var disabled *obs.PhaseTracker
-	now := time.Duration(0)
-	if got := allocs(func() {
-		if disabled != nil {
-			disabled.Executed(1, now)
+	for _, capacity := range []int{0, 64} {
+		rec := obs.NewRecorder(0, capacity)
+		rec.TrackPhases(obs.NewRegistry(), "phase.")
+		seq := int64(0)
+		if got := allocs(func() {
+			// Stride past the slot-ring size so eviction accounting runs too.
+			seq += 257
+			recordBatch(rec, seq, time.Duration(seq)*time.Microsecond)
+		}); got != 0 {
+			t.Errorf("Record with phases, capacity %d: %v allocs/op, want 0", capacity, got)
 		}
-	}); got != 0 {
-		t.Errorf("disabled phase hook: %v allocs/op, want 0", got)
-	}
-
-	reg := obs.NewRegistry()
-	tr := obs.NewPhaseTracker(reg, "phase.")
-	seq := int64(0)
-	if got := allocs(func() {
-		// Stride past the slot-ring size so eviction accounting runs too.
-		seq += 257
-		at := time.Duration(seq) * time.Microsecond
-		tr.PrePrepare(seq, at)
-		tr.Prepared(seq, at+time.Microsecond)
-		tr.Committed(seq, at+2*time.Microsecond)
-		tr.Executed(seq, at+3*time.Microsecond)
-	}); got != 0 {
-		t.Errorf("enabled phase hook: %v allocs/op, want 0", got)
 	}
 }
 

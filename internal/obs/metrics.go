@@ -6,36 +6,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing metric. Like every obs primitive it
-// is written from one engine's event context and read after (or between)
-// event rounds; there is no internal synchronization by design — engines
-// are single-threaded.
-type Counter struct{ v int64 }
-
-// Add increments the counter by n.
-//
-//bftvet:allocfree
-func (c *Counter) Add(n int64) { c.v += n }
-
-// Inc increments the counter by one.
-//
-//bftvet:allocfree
-func (c *Counter) Inc() { c.v++ }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a metric that can move in both directions.
-type Gauge struct{ v int64 }
-
-// Set replaces the gauge's value.
-//
-//bftvet:allocfree
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
 // Histogram bucket layout: values below subBuckets get one bucket each;
 // larger values get log-linear buckets — one power-of-two range per leading
 // bit position, split into subBuckets linear sub-buckets. Relative bucket
@@ -54,7 +24,6 @@ type Histogram struct {
 	buckets [numBuckets]int64
 	count   int64
 	sum     int64
-	min     int64
 	max     int64
 }
 
@@ -89,9 +58,6 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bucketIndex(v)]++
 	h.count++
 	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -103,19 +69,8 @@ func (h *Histogram) Count() int64 { return h.count }
 // Sum returns the sum of all samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() int64 { return h.min }
-
 // Max returns the largest sample (0 if empty).
 func (h *Histogram) Max() int64 { return h.max }
-
-// Mean returns the arithmetic mean (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // Quantile returns the q-quantile (q in [0,1]) as the midpoint of the
 // bucket holding the q-th ordered sample; 0 if the histogram is empty.
@@ -146,17 +101,14 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 // MetricKind discriminates snapshot entries.
 type MetricKind uint8
 
-// Snapshot entry kinds.
+// Snapshot entry kinds. The values appear in snapshot JSON and stay fixed.
 const (
-	KindCounter MetricKind = iota
-	KindGauge
-	KindHistogram
+	KindGauge     MetricKind = 1
+	KindHistogram MetricKind = 2
 )
 
 func (k MetricKind) String() string {
 	switch k {
-	case KindCounter:
-		return "counter"
 	case KindGauge:
 		return "gauge"
 	case KindHistogram:
@@ -166,7 +118,7 @@ func (k MetricKind) String() string {
 }
 
 // Metric is one read-only snapshot entry. Histograms fill Count/Sum and the
-// quantile fields; counters and gauges fill Value.
+// quantile fields; gauges fill Value.
 type Metric struct {
 	Name  string     `json:"name"`
 	Kind  MetricKind `json:"kind"`
@@ -181,17 +133,15 @@ type Metric struct {
 
 type registration struct {
 	name string
-	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	f    func() int64
 }
 
-// Registry is the unified metrics surface: components register counters,
-// gauges, gauge functions (read-through views over existing counters such
-// as core.Counters, ClientStats, sim.NodeStats, or the UDP transport's
-// Oversized count), and histograms under unique names, and Snapshot
-// renders them all in one deterministic, name-sorted list.
+// Registry is the unified metrics surface: components register gauge
+// functions (read-through views over existing counters such as
+// core.Counters, ClientStats, sim.NodeStats, or the UDP transport's
+// Oversized count) and histograms under unique names, and Snapshot renders
+// them all in one deterministic, name-sorted list.
 type Registry struct {
 	entries []registration
 	byName  map[string]int
@@ -211,36 +161,10 @@ func (r *Registry) lookup(name string) (registration, bool) {
 
 func (r *Registry) add(e registration) {
 	if _, dup := r.byName[e.name]; dup {
-		panic(fmt.Sprintf("obs: metric %q registered twice with conflicting types", e.name))
+		panic(fmt.Sprintf("obs: metric %q registered twice", e.name))
 	}
 	r.byName[e.name] = len(r.entries)
 	r.entries = append(r.entries, e)
-}
-
-// Counter returns the counter registered under name, creating it if new.
-func (r *Registry) Counter(name string) *Counter {
-	if e, ok := r.lookup(name); ok {
-		if e.c == nil {
-			panic(fmt.Sprintf("obs: metric %q is not a counter", name))
-		}
-		return e.c
-	}
-	c := &Counter{}
-	r.add(registration{name: name, c: c})
-	return c
-}
-
-// Gauge returns the gauge registered under name, creating it if new.
-func (r *Registry) Gauge(name string) *Gauge {
-	if e, ok := r.lookup(name); ok {
-		if e.g == nil {
-			panic(fmt.Sprintf("obs: metric %q is not a gauge", name))
-		}
-		return e.g
-	}
-	g := &Gauge{}
-	r.add(registration{name: name, g: g})
-	return g
 }
 
 // GaugeFunc registers a read-through gauge whose value is computed by f at
@@ -267,21 +191,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 func (r *Registry) Snapshot() []Metric {
 	out := make([]Metric, 0, len(r.entries))
 	for _, e := range r.entries {
-		m := Metric{Name: e.name}
-		switch {
-		case e.c != nil:
-			m.Kind, m.Value = KindCounter, e.c.Value()
-		case e.g != nil:
-			m.Kind, m.Value = KindGauge, e.g.Value()
-		case e.f != nil:
-			m.Kind, m.Value = KindGauge, e.f()
-		case e.h != nil:
-			m.Kind = KindHistogram
-			m.Count, m.Sum = e.h.Count(), e.h.Sum()
-			m.P50, m.P90, m.P99 = e.h.Quantile(0.50), e.h.Quantile(0.90), e.h.Quantile(0.99)
-			m.Max = e.h.Max()
-		}
-		out = append(out, m)
+		out = append(out, e.metric())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -289,15 +199,25 @@ func (r *Registry) Snapshot() []Metric {
 
 // Get returns the snapshot entry for one metric by name.
 func (r *Registry) Get(name string) (Metric, bool) {
-	if _, ok := r.lookup(name); !ok {
+	e, ok := r.lookup(name)
+	if !ok {
 		return Metric{}, false
 	}
-	for _, m := range r.Snapshot() {
-		if m.Name == name {
-			return m, true
-		}
+	return e.metric(), true
+}
+
+// metric renders one registration as a snapshot entry.
+func (e registration) metric() Metric {
+	m := Metric{Name: e.name}
+	if e.f != nil {
+		m.Kind, m.Value = KindGauge, e.f()
+		return m
 	}
-	return Metric{}, false
+	m.Kind = KindHistogram
+	m.Count, m.Sum = e.h.Count(), e.h.Sum()
+	m.P50, m.P90, m.P99 = e.h.Quantile(0.50), e.h.Quantile(0.90), e.h.Quantile(0.99)
+	m.Max = e.h.Max()
+	return m
 }
 
 // CommitCounts says how a replica's commit votes left it (core's settleCommits).

@@ -2,109 +2,51 @@ package obs
 
 import "time"
 
-// phaseSlots sizes the PhaseTracker's sequence ring. Sequence numbers are
-// dense and monotone, so seq and seq+phaseSlots reuse a slot 1024 batches
-// apart — far beyond the protocol's log window, so a live batch is never
-// evicted by a concurrent one.
+// phaseSlots sizes the phase histograms' sequence ring. Sequence numbers
+// are dense and monotone, so seq and seq+phaseSlots reuse a slot 1024
+// batches apart — far beyond the protocol's log window, so a live batch is
+// never evicted by a concurrent one.
 const phaseSlots = 1024
 
-// PhaseTracker aggregates per-batch ordering-phase durations into live
+// phaseKinds are the events the phase histograms consume.
+const phaseKinds = 1<<EvPrePrepareSent | 1<<EvPrePrepareRecv | 1<<EvPrepared | 1<<EvCommitted | 1<<EvExecuted
+
+// phaseHistograms aggregates per-batch ordering-phase durations into live
 // latency histograms, for the host telemetry plane (/metrics). It is the
-// wall-clock sibling of the post-hoc span assembly in span.go: instead of
-// correlating a merged multi-node trace after the run, each replica
-// observes its own batch boundaries — pre-prepare accept (or send, on the
-// ordering leader), prepared, committed, executed — as they happen,
-// stamped with whatever clock Env.Now provides (virtual in the simulator,
-// monotonic host time on the transports).
+// streaming sibling of the post-hoc span assembly in span.go: instead of
+// correlating a merged multi-node trace after the run, it consumes one
+// replica's own batch-boundary events as Record receives them — pre-prepare
+// accept (or send, on the ordering leader), prepared, committed, executed.
 //
 // All durations are measured from the batch's pre-prepare instant, so the
 // histograms stay well-defined under tentative execution, where a batch
 // executes before it commits.
-//
-// Like every obs primitive the tracker is engine-side state: written only
-// from one engine's event context and snapshotted between events (the
-// telemetry server reads through transport.Node.Do). A nil *PhaseTracker
-// is the disabled state; engines guard every hook with a nil check, so
-// phase recording off costs one branch and zero allocations — and on, it
-// writes a ring slot and a preallocated histogram bucket, still zero.
-type PhaseTracker struct {
-	seq [phaseSlots]int64 // seq+1; 0 marks an empty slot
-	pp  [phaseSlots]time.Duration
-
+type phaseHistograms struct {
+	slots  [phaseSlots]phaseSlot
 	missed int64 // late observations whose batch was already evicted
 
-	prepare *Histogram // pre-prepare -> prepared
-	commit  *Histogram // pre-prepare -> committed frontier
-	execute *Histogram // pre-prepare -> executed
+	// hist maps each observing kind to its histogram (pre-prepare ->
+	// prepared, committed frontier, executed); nil for every other kind.
+	hist [numKinds]*Histogram
 }
 
-// NewPhaseTracker returns a tracker whose histograms are registered in reg
-// under prefix (e.g. "phase." yields phase.prepare_ns, phase.commit_ns,
-// phase.execute_ns, and the phase.missed eviction gauge).
-func NewPhaseTracker(reg *Registry, prefix string) *PhaseTracker {
-	t := &PhaseTracker{
-		prepare: reg.Histogram(prefix + "prepare_ns"),
-		commit:  reg.Histogram(prefix + "commit_ns"),
-		execute: reg.Histogram(prefix + "execute_ns"),
-	}
-	reg.GaugeFunc(prefix+"missed", func() int64 { return t.missed })
-	return t
+// phaseSlot holds one batch's ordering start.
+type phaseSlot struct {
+	seq int64 // seq+1; 0 marks an empty slot
+	pp  time.Duration
 }
 
-// PrePrepare marks the batch's ordering start: the pre-prepare multicast on
-// its leader, or acceptance on a backup. Re-marking the same seq (a
-// view-change reissue) keeps the first instant.
-//
-//bftvet:allocfree
-func (t *PhaseTracker) PrePrepare(seq int64, at time.Duration) {
-	i := int(uint64(seq) % phaseSlots)
-	if t.seq[i] == seq+1 {
-		return
-	}
-	t.seq[i] = seq + 1
-	t.pp[i] = at
+// TrackPhases attaches live phase histograms to the recorder, registered
+// in reg under prefix ("phase." yields phase.prepare_ns, phase.commit_ns,
+// phase.execute_ns, and the phase.missed eviction gauge). From then on
+// Record feeds them its pre-prepare, prepared, committed and executed
+// events, whether or not the recorder keeps a ring.
+func (r *Recorder) TrackPhases(reg *Registry, prefix string) {
+	p := &phaseHistograms{}
+	p.hist[EvPrepared] = reg.Histogram(prefix + "prepare_ns")
+	p.hist[EvCommitted] = reg.Histogram(prefix + "commit_ns")
+	p.hist[EvExecuted] = reg.Histogram(prefix + "execute_ns")
+	reg.GaugeFunc(prefix+"missed", func() int64 { return p.missed })
+	r.phases = p
+	r.wants |= phaseKinds
 }
-
-// start looks up the batch's pre-prepare instant, counting a miss when the
-// slot was evicted (or the pre-prepare was never observed).
-//
-//bftvet:allocfree
-func (t *PhaseTracker) start(seq int64) (time.Duration, bool) {
-	i := int(uint64(seq) % phaseSlots)
-	if t.seq[i] != seq+1 {
-		t.missed++
-		return 0, false
-	}
-	return t.pp[i], true
-}
-
-// Prepared observes the batch's prepare duration.
-//
-//bftvet:allocfree
-func (t *PhaseTracker) Prepared(seq int64, at time.Duration) {
-	if pp, ok := t.start(seq); ok {
-		t.prepare.Observe(int64(at - pp))
-	}
-}
-
-// Committed observes the batch's commit duration (the committed frontier
-// reaching it).
-//
-//bftvet:allocfree
-func (t *PhaseTracker) Committed(seq int64, at time.Duration) {
-	if pp, ok := t.start(seq); ok {
-		t.commit.Observe(int64(at - pp))
-	}
-}
-
-// Executed observes the batch's execute duration.
-//
-//bftvet:allocfree
-func (t *PhaseTracker) Executed(seq int64, at time.Duration) {
-	if pp, ok := t.start(seq); ok {
-		t.execute.Observe(int64(at - pp))
-	}
-}
-
-// Missed reports how many phase observations found their batch evicted.
-func (t *PhaseTracker) Missed() int64 { return t.missed }

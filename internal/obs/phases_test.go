@@ -5,16 +5,25 @@ import (
 	"time"
 )
 
-func TestPhaseTrackerObserves(t *testing.T) {
+// phased returns a ring-less recorder feeding phase histograms in a fresh
+// registry under prefix.
+func phased(prefix string) (*Recorder, *Registry) {
 	reg := NewRegistry()
-	tr := NewPhaseTracker(reg, "phase.")
+	rec := NewRecorder(0, 0)
+	rec.TrackPhases(reg, prefix)
+	return rec, reg
+}
+
+func TestPhaseTrackerObserves(t *testing.T) {
+	rec, reg := phased("phase.")
 
 	for seq := int64(1); seq <= 10; seq++ {
 		base := time.Duration(seq) * time.Millisecond
-		tr.PrePrepare(seq, base)
-		tr.Prepared(seq, base+100*time.Microsecond)
-		tr.Committed(seq, base+300*time.Microsecond)
-		tr.Executed(seq, base+400*time.Microsecond)
+		rec.Record(base, EvPrePrepareRecv, seq, 0, 0)
+		rec.Record(base+50*time.Microsecond, EvRequestIn, 0, 1, seq) // not a phase boundary
+		rec.Record(base+100*time.Microsecond, EvPrepared, seq, 0, 0)
+		rec.Record(base+300*time.Microsecond, EvCommitted, seq, 0, 0)
+		rec.Record(base+400*time.Microsecond, EvExecuted, seq, 0, 1)
 	}
 
 	for _, name := range []string{"phase.prepare_ns", "phase.commit_ns", "phase.execute_ns"} {
@@ -37,11 +46,10 @@ func TestPhaseTrackerObserves(t *testing.T) {
 }
 
 func TestPhaseTrackerRemarkKeepsFirstInstant(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewPhaseTracker(reg, "p.")
-	tr.PrePrepare(7, 1*time.Millisecond)
-	tr.PrePrepare(7, 5*time.Millisecond) // view-change reissue must not move the start
-	tr.Prepared(7, 2*time.Millisecond)
+	rec, reg := phased("p.")
+	rec.Record(1*time.Millisecond, EvPrePrepareSent, 7, 0, 0)
+	rec.Record(5*time.Millisecond, EvPrePrepareSent, 7, 1, 0) // view-change reissue must not move the start
+	rec.Record(2*time.Millisecond, EvPrepared, 7, 0, 0)
 	m, _ := reg.Get("p.prepare_ns")
 	if m.Count != 1 || m.Max != int64(time.Millisecond) {
 		t.Errorf("prepare hist count=%d max=%d, want 1 sample of 1ms", m.Count, m.Max)
@@ -49,22 +57,41 @@ func TestPhaseTrackerRemarkKeepsFirstInstant(t *testing.T) {
 }
 
 func TestPhaseTrackerEviction(t *testing.T) {
-	reg := NewRegistry()
-	tr := NewPhaseTracker(reg, "p.")
-	tr.PrePrepare(1, time.Millisecond)
+	rec, reg := phased("p.")
+	rec.Record(time.Millisecond, EvPrePrepareRecv, 1, 0, 0)
 	// Seq 1+phaseSlots hashes to the same slot and evicts seq 1.
-	tr.PrePrepare(1+phaseSlots, 2*time.Millisecond)
-	tr.Executed(1, 3*time.Millisecond)
-	if tr.Missed() != 1 {
-		t.Fatalf("Missed = %d, want 1 after eviction", tr.Missed())
+	rec.Record(2*time.Millisecond, EvPrePrepareRecv, 1+phaseSlots, 0, 0)
+	rec.Record(3*time.Millisecond, EvExecuted, 1, 0, 0)
+	if m, _ := reg.Get("p.missed"); m.Value != 1 {
+		t.Fatalf("missed = %d, want 1 after eviction", m.Value)
 	}
-	m, _ := reg.Get("p.execute_ns")
-	if m.Count != 0 {
+	if m, _ := reg.Get("p.execute_ns"); m.Count != 0 {
 		t.Errorf("evicted batch still observed: count = %d", m.Count)
 	}
 	// The evicting batch itself observes normally.
-	tr.Executed(1+phaseSlots, 5*time.Millisecond)
+	rec.Record(5*time.Millisecond, EvExecuted, 1+phaseSlots, 0, 0)
 	if m, _ := reg.Get("p.execute_ns"); m.Count != 1 {
 		t.Errorf("evicting batch not observed: count = %d", m.Count)
+	}
+}
+
+// TestPhaseTrackerBesideRing checks that attaching phase histograms leaves
+// the ring's contents exactly as they would be without them.
+func TestPhaseTrackerBesideRing(t *testing.T) {
+	plain, withPhases := NewRecorder(2, 8), NewRecorder(2, 8)
+	withPhases.TrackPhases(NewRegistry(), "phase.")
+	for i := int64(1); i <= 12; i++ {
+		for _, r := range []*Recorder{plain, withPhases} {
+			r.Record(time.Duration(i), Kind(i%int64(numKinds)), i, i, i)
+		}
+	}
+	a, b := plain.Events(nil), withPhases.Events(nil)
+	if len(a) != len(b) {
+		t.Fatalf("ring lengths %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("event %d: %+v vs %+v", i, a[i], b[i])
+		}
 	}
 }

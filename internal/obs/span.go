@@ -85,17 +85,6 @@ func (s *Span) Phases() [NumPhases]time.Duration {
 // Latency returns the client-observed end-to-end latency.
 func (s *Span) Latency() time.Duration { return s.Done - s.Send }
 
-// Instance returns the ordering instance that ordered the span's batch
-// under parallel-leader ordering with g instances (sequence numbers are
-// dealt round-robin: instance i owns seqs congruent to i+1 mod g; see
-// internal/core). Spans whose batch was never observed return -1.
-func (s *Span) Instance(g int) int {
-	if s.Seq < 1 || g < 1 {
-		return -1
-	}
-	return int((s.Seq - 1) % int64(g))
-}
-
 type spanKey struct {
 	client int32
 	ts     int64
@@ -250,28 +239,6 @@ func Summarize(spans []Span, after time.Duration) Breakdown {
 		bd.PhaseNS[p.String()] = bd.Phases[p]
 	}
 	return bd
-}
-
-// SummarizeByInstance splits the spans by ordering instance (see
-// Span.Instance) and aggregates each slice separately, returning one
-// Breakdown per instance. Spans with no observed batch are counted in no
-// instance's breakdown. With g = 1 the single element equals
-// Summarize(spans, after) for spans that had a batch.
-func SummarizeByInstance(spans []Span, after time.Duration, g int) []Breakdown {
-	if g < 1 {
-		g = 1
-	}
-	parts := make([][]Span, g)
-	for i := range spans {
-		if inst := spans[i].Instance(g); inst >= 0 {
-			parts[inst] = append(parts[inst], spans[i])
-		}
-	}
-	out := make([]Breakdown, g)
-	for i, part := range parts {
-		out[i] = Summarize(part, after)
-	}
-	return out
 }
 
 // PhaseSum returns the sum of the mean phase durations; by construction it

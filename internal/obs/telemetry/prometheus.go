@@ -43,7 +43,7 @@ var quantiles = [...]struct {
 // "engine.view" -> "bft_engine_view"). labels are constant labels attached
 // to every series, with full label-value escaping.
 //
-// Counters and gauges render as one series each. Histograms render as
+// Gauges render as one series each. Histograms render as
 // summaries — one series per quantile plus _sum and _count — and a _max
 // gauge, so a scrape carries the same information as obs.Metric.
 func WritePrometheus(w io.Writer, namespace string, labels map[string]string, ms []obs.Metric) error {
@@ -53,8 +53,6 @@ func WritePrometheus(w io.Writer, namespace string, labels map[string]string, ms
 		m := &ms[i]
 		name := sanitizeName(namespace, m.Name)
 		switch m.Kind {
-		case obs.KindCounter:
-			fmt.Fprintf(bw, "# TYPE %s counter\n%s%s %d\n", name, name, base, m.Value)
 		case obs.KindGauge:
 			fmt.Fprintf(bw, "# TYPE %s gauge\n%s%s %d\n", name, name, base, m.Value)
 		case obs.KindHistogram:

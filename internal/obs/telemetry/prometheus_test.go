@@ -13,7 +13,7 @@ import (
 // rendering, name sanitization, and label-value escaping.
 func TestWritePrometheusGolden(t *testing.T) {
 	ms := []obs.Metric{
-		{Name: "engine.executed_requests", Kind: obs.KindCounter, Value: 42},
+		{Name: "engine.executed_requests", Kind: obs.KindGauge, Value: 42},
 		{Name: "engine.view", Kind: obs.KindGauge, Value: 3},
 		{Name: "phase.execute_ns", Kind: obs.KindHistogram,
 			Count: 10, Sum: 5000, P50: 400, P90: 800, P99: 950, Max: 1000},
@@ -27,7 +27,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	want := strings.Join([]string{
-		`# TYPE bft_engine_executed_requests counter`,
+		`# TYPE bft_engine_executed_requests gauge`,
 		`bft_engine_executed_requests{node="0",path="C:\\run \"q\"\nx"} 42`,
 		`# TYPE bft_engine_view gauge`,
 		`bft_engine_view{node="0",path="C:\\run \"q\"\nx"} 3`,
@@ -49,12 +49,12 @@ func TestWritePrometheusGolden(t *testing.T) {
 func TestWritePrometheusNoLabels(t *testing.T) {
 	var buf bytes.Buffer
 	err := WritePrometheus(&buf, "bft", nil, []obs.Metric{
-		{Name: "udp.oversized", Kind: obs.KindCounter, Value: 7},
+		{Name: "udp.oversized", Kind: obs.KindGauge, Value: 7},
 	})
 	if err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
-	want := "# TYPE bft_udp_oversized counter\nbft_udp_oversized 7\n"
+	want := "# TYPE bft_udp_oversized gauge\nbft_udp_oversized 7\n"
 	if buf.String() != want {
 		t.Errorf("got %q, want %q", buf.String(), want)
 	}
@@ -78,7 +78,7 @@ func TestSanitizeName(t *testing.T) {
 // — the exact path bft-top uses against a live /metrics endpoint.
 func TestParseRoundTrip(t *testing.T) {
 	ms := []obs.Metric{
-		{Name: "engine.executed_requests", Kind: obs.KindCounter, Value: 42},
+		{Name: "engine.executed_requests", Kind: obs.KindGauge, Value: 42},
 		{Name: "phase.execute_ns", Kind: obs.KindHistogram,
 			Count: 4, Sum: 100, P50: 20, P90: 40, P99: 48, Max: 50},
 	}

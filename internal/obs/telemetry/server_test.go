@@ -29,7 +29,7 @@ func get(t *testing.T, url string) (int, []byte) {
 
 func TestServerEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.Counter("engine.executed_requests").Add(5)
+	reg.GaugeFunc("engine.executed_requests", func() int64 { return 5 })
 	events := []obs.Event{
 		{At: time.Millisecond, Kind: obs.EvExecuted, Seq: 1, Node: 0},
 		{At: 2 * time.Millisecond, Kind: obs.EvExecuted, Seq: 2, Node: 0},

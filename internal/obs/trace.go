@@ -1,6 +1,7 @@
-// Package obs is the deterministic observability layer: a fixed-size
-// ring-buffer trace recorder for typed protocol events, a metrics registry
-// unifying counters, gauges, and log-linear latency histograms behind one
+// Package obs is the deterministic observability layer: a per-node trace
+// recorder for typed protocol events (a fixed-size ring plus, optionally,
+// live per-phase latency histograms fed by the same events), a metrics
+// registry unifying gauges and log-linear latency histograms behind one
 // snapshot API, and per-request span assembly that computes the paper-style
 // critical-path breakdown (client → pre-prepare → prepared → executed →
 // reply).
@@ -88,48 +89,86 @@ type Event struct {
 	Kind Kind
 }
 
-// Recorder is a per-node fixed-capacity ring buffer of trace events. It is
-// written from exactly one engine's event context (engines are
-// single-threaded by contract) and read after the run. When the ring is
-// full the oldest events are overwritten; Overwritten reports how many.
+// Recorder is a node's one sink for trace events: a fixed-capacity ring
+// buffer of them and, once TrackPhases attaches it, the live phase
+// histograms that consume the same events. It is written from exactly one
+// engine's event context (engines are single-threaded by contract) and read
+// after the run or between events. When the ring is full the oldest events
+// are overwritten.
 //
 // A nil Recorder is the disabled state: engines guard every hook with a nil
-// check, so tracing off costs one branch and zero allocations.
+// check, so tracing off costs one branch and zero allocations. Engines also
+// ask Wants before reading the clock, so a ring-less recorder feeding only
+// phase histograms costs a clock read at batch boundaries and nowhere else.
 type Recorder struct {
 	node    int32
 	events  []Event
 	next    int
 	wrapped bool
-	lost    int64
+	wants   uint32 // bit k set: some consumer reads events of Kind k
+	phases  *phaseHistograms
 }
+
+// allKinds is the wants mask of a recorder with a ring.
+const allKinds = 1<<numKinds - 1
 
 // NewRecorder returns a recorder for the given node id holding up to
-// capacity events.
+// capacity events; capacity 0 means no ring (see TrackPhases).
 func NewRecorder(node int32, capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
+	r := &Recorder{node: node}
+	if capacity > 0 {
+		r.events = make([]Event, capacity)
+		r.wants = allKinds
 	}
-	return &Recorder{node: node, events: make([]Event, capacity)}
+	return r
 }
 
-// Record appends one event stamped at the caller-supplied time. It never
-// allocates: full rings overwrite the oldest slot.
+// Wants reports whether any consumer reads events of the given kind, so an
+// engine can skip the clock read for an event nothing would keep.
+//
+//bftvet:allocfree
+func (r *Recorder) Wants(kind Kind) bool { return r.wants&(1<<kind) != 0 }
+
+// Record appends one event stamped at the caller-supplied time and feeds
+// it to the phase histograms, if attached. It never allocates: full rings
+// overwrite the oldest slot.
 //
 //bftvet:allocfree
 func (r *Recorder) Record(at time.Duration, kind Kind, seq, aux, aux2 int64) {
-	r.events[r.next] = Event{At: at, Seq: seq, Aux: aux, Aux2: aux2, Node: r.node, Kind: kind}
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.wrapped = true
+	if len(r.events) > 0 {
+		r.events[r.next] = Event{At: at, Seq: seq, Aux: aux, Aux2: aux2, Node: r.node, Kind: kind}
+		r.next++
+		if r.next == len(r.events) {
+			r.next = 0
+			r.wrapped = true
+		}
 	}
-	if r.wrapped {
-		r.lost++
+	p := r.phases
+	if p == nil {
+		return
 	}
+	// The phase histograms' consumer, written out here rather than as a
+	// method: a second call per event made hostbench's PhaseTrackerObserve
+	// about a quarter slower. A pre-prepare marks the
+	// batch's ordering start; re-marking the same seq (a view-change
+	// reissue) keeps the first instant. The later boundaries observe
+	// their duration from that start.
+	s := &p.slots[uint64(seq)%phaseSlots]
+	if kind == EvPrePrepareSent || kind == EvPrePrepareRecv {
+		if s.seq != seq+1 {
+			s.seq, s.pp = seq+1, at
+		}
+		return
+	}
+	if int(kind) >= len(p.hist) || p.hist[kind] == nil {
+		return
+	}
+	if s.seq != seq+1 {
+		p.missed++ // evicted, or the pre-prepare was never observed
+		return
+	}
+	p.hist[kind].Observe(int64(at - s.pp))
 }
-
-// Node returns the recording node's id.
-func (r *Recorder) Node() int32 { return r.node }
 
 // Len returns the number of retained events.
 func (r *Recorder) Len() int {
@@ -139,27 +178,12 @@ func (r *Recorder) Len() int {
 	return r.next
 }
 
-// Overwritten returns how many events were lost to ring wrap-around.
-func (r *Recorder) Overwritten() int64 {
-	if r.lost == 0 {
-		return 0
-	}
-	return r.lost - 1 // the slot counted on the wrap itself is retained
-}
-
 // Events returns the retained events oldest-first, appended to dst.
 func (r *Recorder) Events(dst []Event) []Event {
 	if r.wrapped {
 		dst = append(dst, r.events[r.next:]...)
 	}
 	return append(dst, r.events[:r.next]...)
-}
-
-// Reset discards all retained events, keeping the ring's capacity.
-func (r *Recorder) Reset() {
-	r.next = 0
-	r.wrapped = false
-	r.lost = 0
 }
 
 // Merge collects the retained events of all recorders into one slice

@@ -97,11 +97,18 @@ if [ -z "$executed" ] || [ "$executed" -lt "$OPS" ]; then
     echo "telemetry-smoke: FAIL: executed_requests=$executed, want >= $OPS" >&2
     exit 1
 fi
+# Every phase histogram must hold samples, on replica 0 and on replica 1
+# (the replica the end-to-end benchmark reads its phase medians from).
+for id in 0 1; do
+    for phase in prepare commit execute; do
+        phase_count=$(awk -v m="bft_phase_${phase}_ns_count{" 'index($0, m) == 1 {print int($2)}' "$OUT/metrics-$id.txt")
+        if [ -z "$phase_count" ] || [ "$phase_count" -lt 1 ]; then
+            echo "telemetry-smoke: FAIL: replica $id has no bft_phase_${phase}_ns samples" >&2
+            exit 1
+        fi
+    done
+done
 phase_count=$(awk '/^bft_phase_execute_ns_count\{/ {print int($2)}' "$SCRAPE")
-if [ -z "$phase_count" ] || [ "$phase_count" -lt 1 ]; then
-    echo "telemetry-smoke: FAIL: no phase histogram samples in scrape" >&2
-    exit 1
-fi
 for zero in bft_transport_inbox_drops bft_udp_oversized; do
     v=$(awk -v m="^$zero{" 'index($0, substr(m,2)) == 1 {print int($2)}' "$SCRAPE")
     if [ -n "$v" ] && [ "$v" -ne 0 ]; then
