@@ -41,6 +41,8 @@ type cluster struct {
 	timers   map[int]map[int]*testTimer
 	tgen     uint64
 
+	// sent sees every message a node hands its environment, before drop.
+	sent func(src, dst int, data []byte)
 	// drop decides whether to discard a message (fault injection).
 	drop func(src, dst int, data []byte) bool
 	// intercept may rewrite a message in flight (fault injection); it runs
@@ -107,6 +109,9 @@ func (c *cluster) start() {
 }
 
 func (c *cluster) post(src, dst int, data []byte) {
+	if c.sent != nil {
+		c.sent(src, dst, data)
+	}
 	if c.drop != nil && c.drop(src, dst, data) {
 		return
 	}
