@@ -34,6 +34,7 @@ package bft
 
 import (
 	"context"
+	cryptorand "crypto/rand"
 	"fmt"
 	"io"
 	"sync"
@@ -180,7 +181,9 @@ func StartReplica(cfg Config, sm StateMachine, keys *Keyring, net Network) (*Rep
 	}
 	rec.TrackPhases(reg, "phase.")
 	cfg.Trace = rec
-	engine, err := core.NewReplica(cfg, sm, keys, nil, nil)
+	// Recovery and key rotation draw fresh session keys: they must not be
+	// predictable.
+	engine, err := core.NewReplica(cfg, sm, keys, nil, cryptorand.Reader)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package bft_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -222,6 +224,69 @@ func TestPublicAPIScheduleRecovery(t *testing.T) {
 	}
 	if string(res) != "6" {
 		t.Fatalf("counter = %s, want 6", res)
+	}
+}
+
+// inboundKeys reads the first key map of an ExportKeyring blob (after the
+// 4-byte magic and the 8-byte owner id): the keys peers use toward the
+// ring's owner, which a recovery rotates.
+func inboundKeys(blob []byte) map[int]crypto.Key {
+	off := 4 + 8
+	n := int(binary.LittleEndian.Uint64(blob[off:]))
+	off += 8
+	keys := make(map[int]crypto.Key, n)
+	for i := 0; i < n; i++ {
+		var k crypto.Key
+		copy(k[:], blob[off+8:])
+		keys[int(binary.LittleEndian.Uint64(blob[off:]))] = k
+		off += 8 + crypto.KeySize
+	}
+	return keys
+}
+
+// TestRecoveryRotatesUnpredictableKeys starts two groups from identical
+// exported keyrings and recovers replica 2 in each. Recovery exists to cut
+// off whoever holds the old session keys, so the keys it rotates to must
+// come from a real randomness source: the two groups must end up with
+// different ones.
+func TestRecoveryRotatesUnpredictableKeys(t *testing.T) {
+	rings := bft.NewKeyrings([]int{0, 1, 2, 3})
+	if err := bft.Provision(rand.New(rand.NewSource(1)), rings); err != nil { //nolint:gosec
+		t.Fatal(err)
+	}
+	blobs := make([][]byte, len(rings))
+	for i, ring := range rings {
+		blobs[i] = bft.ExportKeyring(ring)
+	}
+	provisioned := inboundKeys(blobs[2])
+	recoverReplica2 := func() map[int]crypto.Key {
+		net := bft.NewChannelNetwork()
+		var ring2 *bft.Keyring
+		for i, blob := range blobs {
+			ring, err := bft.ImportKeyring(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := bft.StartReplica(bft.DefaultConfig(4, i), &counterSM{}, ring, net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if i == 2 {
+				ring2 = ring
+				r.ScheduleRecovery(time.Millisecond)
+			}
+		}
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if keys := inboundKeys(bft.ExportKeyring(ring2)); !maps.Equal(keys, provisioned) {
+				return keys
+			}
+		}
+		t.Fatal("replica 2 never rotated its inbound keys")
+		return nil
+	}
+	if a, b := recoverReplica2(), recoverReplica2(); maps.Equal(a, b) {
+		t.Fatal("two recoveries from identical keyrings rotated to identical keys")
 	}
 }
 

@@ -246,7 +246,7 @@ func (c *Client) transmit(p *pendingOp, retransmit bool) {
 		// Read-only requests go everywhere by design; retransmissions go
 		// everywhere to route around a faulty primary or replier.
 		c.env.Multicast(c.all, raw)
-	case c.cfg.Opts.SeparateRequests && len(raw) > c.cfg.InlineThreshold:
+	case c.cfg.Opts.separate(len(raw), c.cfg.InlineThreshold):
 		// Separate request transmission: all replicas receive and
 		// authenticate the body in parallel; the pre-prepare will carry
 		// only its digest.

@@ -61,6 +61,13 @@ type Options struct {
 	PiggybackCommits bool
 }
 
+// separate reports whether a request whose encoding is size bytes travels
+// outside pre-prepares: its client multicasts it to every replica and
+// pre-prepares carry its digest. Clients and replicas decide it alike.
+func (o Options) separate(size, inlineThreshold int) bool {
+	return o.SeparateRequests && size > inlineThreshold
+}
+
 // AllOptimizations mirrors the paper's standard "BFT" configuration: every
 // optimization on except piggybacked commits (which the released library
 // did not include).
@@ -135,14 +142,6 @@ type Config struct {
 	// KeyRotationInterval is the period of session-key refresh; zero
 	// disables rotation.
 	KeyRotationInterval time.Duration
-
-	// RecoveryInterval is the period of the proactive-recovery watchdog
-	// (§2 of the paper: with periodic recovery the system tolerates any
-	// number of faults over its lifetime provided fewer than 1/3 of the
-	// replicas fail within a window of vulnerability). Zero disables it;
-	// deployments stagger the first firing across replicas so fewer than
-	// f recover at once.
-	RecoveryInterval time.Duration
 
 	// Trace receives protocol trace events stamped with Env.Now time; nil
 	// disables tracing (every hook then costs a single branch). Live phase

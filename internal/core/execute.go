@@ -93,8 +93,8 @@ func (r *Replica) executeBatch(s *slot, tentative bool) {
 		if req == nil {
 			continue // null batch
 		}
-		rec := r.clientRec(req.Client)
-		if req.Timestamp <= rec.lastTimestamp {
+		rec, result, ran := r.applyRequest(req)
+		if !ran {
 			// Already executed (a faulty primary may re-propose); answer
 			// from the stored reply if this is the same request.
 			if req.Timestamp == rec.lastTimestamp {
@@ -102,30 +102,55 @@ func (r *Replica) executeBatch(s *slot, tentative bool) {
 			}
 			continue
 		}
-		result := r.sm.Execute(req.Client, req.Op, false)
 		r.stats.ExecutedRequests++
 		r.trace(obs.EvExecRequest, s.seq, int64(req.Client), req.Timestamp)
-		resultD := r.suite.Digest(result)
-		rec.lastTimestamp = req.Timestamp
-		rec.lastReply = &message.Reply{
-			View:      r.view,
-			Timestamp: req.Timestamp,
-			Client:    req.Client,
-			Replica:   int32(r.cfg.Self),
-			Tentative: tentative,
-			Full:      true,
-			Result:    result,
-			ResultD:   resultD,
-		}
-		rec.lastReplySeq = s.seq
-		r.sendReply(req, rec.lastReply)
+		r.sendReply(req, r.storeReply(rec, req, s.seq, result, tentative))
 	}
 	// Executed requests leave the ordering pipeline.
 	for _, d := range s.reqDigests {
-		delete(r.reqBuffer, d)
-		delete(r.inFlight, d)
-		delete(r.missingBody, d)
+		r.forgetRequest(d)
 	}
+}
+
+// applyRequest runs req against the service unless its client already
+// executed it (at-most-once), returning the client's record and the
+// result. Execution and rollback replay apply a request as applyRequest
+// then storeReply. Execution traces the request between the two: in the
+// simulator the event's timestamp must count the service's charges and not
+// the result digest's.
+func (r *Replica) applyRequest(req *message.Request) (rec *clientRecord, result []byte, ran bool) {
+	rec = r.clientRec(req.Client)
+	if req.Timestamp <= rec.lastTimestamp {
+		return rec, nil, false
+	}
+	return rec, r.sm.Execute(req.Client, req.Op, false), true
+}
+
+// storeReply records req's result, produced by batch seq, as its client's
+// reply: the full result a retransmission is answered from.
+func (r *Replica) storeReply(rec *clientRecord, req *message.Request, seq int64, result []byte, tentative bool) *message.Reply {
+	resultD := r.suite.Digest(result)
+	rec.lastTimestamp = req.Timestamp
+	rec.lastReply = &message.Reply{
+		View:      r.view,
+		Timestamp: req.Timestamp,
+		Client:    req.Client,
+		Replica:   int32(r.cfg.Self),
+		Tentative: tentative,
+		Full:      true,
+		Result:    result,
+		ResultD:   resultD,
+	}
+	rec.lastReplySeq = seq
+	return rec.lastReply
+}
+
+// forgetRequest drops request d from the ordering pipeline: its buffered
+// body, its sequence-number assignment and any slot's wait for its body.
+func (r *Replica) forgetRequest(d crypto.Digest) {
+	delete(r.reqBuffer, d)
+	delete(r.inFlight, d)
+	delete(r.missingBody, d)
 }
 
 // sendReply MACs and sends a reply, honoring the digest-replies
@@ -366,11 +391,17 @@ func (r *Replica) takeCheckpoint(seq int64) {
 		r.retainCheckpoint(seq, ids)
 	}
 	r.recordCheckpoint(seq, int32(r.cfg.Self), d)
+	r.broadcast(r.buildCheckpoint(seq, d))
+	r.checkStable(seq, d)
+}
+
+// buildCheckpoint builds this replica's vote that checkpoint seq has digest
+// d, under buildPrepare's rule.
+func (r *Replica) buildCheckpoint(seq int64, d crypto.Digest) *message.Checkpoint {
 	ck := &message.Checkpoint{Seq: seq, StateD: d, Replica: int32(r.cfg.Self)}
 	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
 	ck.Auth = r.authScratch
-	r.broadcast(ck)
-	r.checkStable(seq, d)
+	return ck
 }
 
 // onCheckpoint processes a peer's checkpoint announcement.
@@ -492,9 +523,7 @@ func (r *Replica) makeStable(seq int64, d crypto.Digest) {
 	}
 	for dg, n := range r.inFlight {
 		if n <= seq {
-			delete(r.inFlight, dg)
-			delete(r.reqBuffer, dg)
-			delete(r.missingBody, dg)
+			r.forgetRequest(dg)
 		}
 	}
 	// The window may have opened for the primary.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"bftfast/internal/message"
@@ -19,12 +18,7 @@ func (r *Replica) rotateKeys() {
 	}
 	r.epoch++
 	nk := &message.NewKey{Replica: int32(r.cfg.Self), Epoch: r.epoch}
-	peers := make([]int, 0, len(fresh))
-	for p := range fresh {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	for _, p := range peers {
+	for _, p := range sortedKeys(fresh) {
 		nk.Keys = append(nk.Keys, message.KeyEntry{Replica: int32(p), Key: fresh[p]})
 	}
 	nk.Auth = r.suite.MasterAuth(r.cfg.N, nk.AuthContent(&r.contentEnc))
@@ -62,9 +56,10 @@ func (r *Replica) startRecovery() {
 	r.broadcast(rec)
 }
 
-// ScheduleRecovery arms the proactive-recovery watchdog to fire after d.
-// Deployments stagger the delay across replicas so fewer than f recover at
-// once (the window-of-vulnerability argument in the paper).
+// ScheduleRecovery arms the proactive-recovery watchdog to fire once, after
+// d; it is the only way recovery is armed. Deployments re-arm it and
+// stagger the delay across replicas so fewer than f recover at once (the
+// window-of-vulnerability argument in the paper).
 func (r *Replica) ScheduleRecovery(d time.Duration) {
 	r.env.SetTimer(timerRecovery, d)
 }
@@ -80,13 +75,5 @@ func (r *Replica) onRecovery(rec *message.Recovery) {
 		r.stats.DroppedMessages++
 		return
 	}
-	s := &message.Status{
-		View:         r.view,
-		InViewChange: r.inViewChange,
-		LastStable:   r.lastStable,
-		LastExec:     r.lastCommittedExec,
-		Replica:      int32(r.cfg.Self),
-	}
-	s.Auth = r.suite.Auth(r.cfg.N, s.AuthContent(&r.contentEnc))
-	r.send(sender, s)
+	r.send(sender, r.buildStatus())
 }

@@ -59,12 +59,7 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 
 	// Fill any pre-prepare that was waiting for this body (separate
 	// request transmission delivers bodies and assignments in any order).
-	if seqs := r.missingBody[d]; len(seqs) > 0 {
-		delete(r.missingBody, d)
-		for _, seq := range seqs {
-			r.fillMissing(r.log[seq], d, req)
-		}
-	}
+	r.bodyArrived(d, req)
 
 	if r.inViewChange {
 		return
@@ -73,7 +68,7 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 	if leader == r.cfg.Self {
 		r.queue = append(r.queue, d)
 		r.trySendBatches()
-	} else if !buf.relayed && !(r.cfg.Opts.SeparateRequests && len(raw) > r.cfg.InlineThreshold) {
+	} else if !buf.relayed && !r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
 		// A small request reaching a non-leader means the client missed
 		// the request's instance leader (stale view, or a retransmission):
 		// relay it. Large separately-transmitted bodies were multicast to
@@ -96,6 +91,18 @@ func (r *Replica) clientRec(client int32) *clientRecord {
 	return rec
 }
 
+// bodyArrived fills every slot waiting for request body d.
+func (r *Replica) bodyArrived(d crypto.Digest, req *message.Request) {
+	seqs := r.missingBody[d]
+	if len(seqs) == 0 {
+		return
+	}
+	delete(r.missingBody, d)
+	for _, seq := range seqs {
+		r.fillMissing(r.log[seq], d, req)
+	}
+}
+
 // fillMissing resolves one missing request body in a slot.
 func (r *Replica) fillMissing(s *slot, d crypto.Digest, req *message.Request) {
 	if s == nil || s.missing == 0 {
@@ -114,7 +121,7 @@ func (r *Replica) fillMissing(s *slot, d crypto.Digest, req *message.Request) {
 
 // onPrePrepare processes a sequence-number assignment from the primary.
 // It also accepts batch-content retransmissions that fill a new-view slot
-// whose digest is known but whose bodies are not (see fetchBatch): those
+// whose digest is known but whose bodies are not (see enterNewView): those
 // are validated by digest match rather than by the sender's authenticator.
 func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	if s := r.log[pp.Seq]; s != nil && s.unknownBatch {
@@ -134,26 +141,18 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 		return
 	}
 
-	// Resolve the batch: decode inline bodies (verifying client
-	// authenticators) and look up separately transmitted ones.
+	// Resolve the batch; one bad inline body rejects the whole message.
 	reqDigests := make([]crypto.Digest, len(pp.Refs))
 	requests := make([]*message.Request, len(pp.Refs))
 	missing := 0
 	for i, ref := range pp.Refs {
-		if ref.Inline != nil {
-			req, d, ok := r.inlineRequest(ref.Inline)
-			if !ok {
-				r.stats.DroppedMessages++
-				return
-			}
-			reqDigests[i] = d
-			requests[i] = req
-			continue
+		req, d, ok := r.refBody(ref)
+		if !ok {
+			r.stats.DroppedMessages++
+			return
 		}
-		reqDigests[i] = ref.Digest
-		if buf, ok := r.reqBuffer[ref.Digest]; ok {
-			requests[i] = buf.req
-		} else {
+		reqDigests[i], requests[i] = d, req
+		if req == nil {
 			missing++
 		}
 	}
@@ -197,20 +196,28 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	// fetches. Instead a short grace timer lets queued bodies drain, and
 	// fetchLateBodies recovers only the ones that still have not shown
 	// up — those were genuinely dropped.
-	if s.missing > 0 && !r.bodyFetchArmed {
-		r.bodyFetchArmed = true
-		r.env.SetTimer(timerBodyFetch, r.cfg.StatusInterval/16)
+	if s.missing > 0 {
+		r.armBodyFetch()
 	}
 	// Another instance advancing may open a gap in our own slice.
 	r.fillInstanceGaps(r.ownInstance())
 	r.syncVCTimer(false)
 }
 
-// inlineRequest decodes a request inlined in a pre-prepare, digests it and
-// verifies its client's authenticator over that digest. Every path that
-// takes a request body from a pre-prepare goes through here.
-func (r *Replica) inlineRequest(raw []byte) (*message.Request, crypto.Digest, bool) {
-	m, err := message.Unmarshal(raw)
+// refBody resolves one pre-prepare entry to its request digest and body.
+// An inline body is decoded and digested, and its client's authenticator
+// is verified over that digest (ok is false if any of that fails); a
+// digest reference resolves to the buffered body, or to nil while none has
+// arrived. Every path that takes a request from a pre-prepare goes through
+// here, each with its own acceptance rule.
+func (r *Replica) refBody(ref message.RequestRef) (*message.Request, crypto.Digest, bool) {
+	if ref.Inline == nil {
+		if buf := r.reqBuffer[ref.Digest]; buf != nil {
+			return buf.req, ref.Digest, true
+		}
+		return nil, ref.Digest, true
+	}
+	m, err := message.Unmarshal(ref.Inline)
 	if err != nil {
 		return nil, crypto.Digest{}, false
 	}
@@ -479,7 +486,7 @@ func (r *Replica) nextBatch() []*bufferedRequest {
 		// transmitted requests contribute only their digest, which is why
 		// SRT fits more large requests per batch (Figure 7).
 		size := len(buf.raw)
-		if r.cfg.Opts.SeparateRequests && size > r.cfg.InlineThreshold {
+		if r.cfg.Opts.separate(size, r.cfg.InlineThreshold) {
 			size = crypto.DigestSize
 		}
 		if len(out) > 0 && bytes+size > r.cfg.MaxBatchBytes {
@@ -511,7 +518,7 @@ func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
 	for i, buf := range batch {
 		reqDigests[i] = buf.digest
 		requests[i] = buf.req
-		if r.cfg.Opts.SeparateRequests && len(buf.raw) > r.cfg.InlineThreshold {
+		if r.cfg.Opts.separate(len(buf.raw), r.cfg.InlineThreshold) {
 			refs[i] = message.RequestRef{Digest: buf.digest}
 		} else {
 			refs[i] = message.RequestRef{Inline: buf.raw}
@@ -540,24 +547,20 @@ func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
 }
 
 // fillBodiesFromPP harvests inline request bodies from a retransmitted
-// pre-prepare for a slot still missing some.
+// pre-prepare for a slot still missing some; a bad body is skipped.
 func (r *Replica) fillBodiesFromPP(s *slot, pp *message.PrePrepare) {
 	for _, ref := range pp.Refs {
 		if ref.Inline == nil || s.missing == 0 {
 			continue
 		}
-		req, d, ok := r.inlineRequest(ref.Inline)
+		req, d, ok := r.refBody(ref)
 		if !ok {
 			continue
 		}
 		if _, buffered := r.reqBuffer[d]; !buffered {
 			r.reqBuffer[d] = &bufferedRequest{req: req, raw: ref.Inline, digest: d, relayed: true}
 		}
-		seqs := r.missingBody[d]
-		delete(r.missingBody, d)
-		for _, seq := range seqs {
-			r.fillMissing(r.log[seq], d, req)
-		}
+		r.bodyArrived(d, req)
 	}
 }
 
@@ -572,12 +575,11 @@ func (r *Replica) resolveUnknownBatch(s *slot, pp *message.PrePrepare) {
 		if ref.Inline == nil {
 			return // a retransmission must inline everything
 		}
-		req, d, ok := r.inlineRequest(ref.Inline)
+		req, d, ok := r.refBody(ref)
 		if !ok {
 			return
 		}
-		reqDigests[i] = d
-		requests[i] = req
+		reqDigests[i], requests[i] = d, req
 	}
 	if message.BatchDigest(r.suite, &r.contentEnc, reqDigests) != s.batchDigest {
 		r.stats.DroppedMessages++

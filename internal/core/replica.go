@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"time"
 
 	"bftfast/internal/crypto"
@@ -176,8 +178,12 @@ type vcRecord struct {
 
 // NewReplica builds a replica engine. keys must be pre-provisioned with
 // pairwise session and master keys (crypto.ProvisionAll) or be populated by
-// new-key exchange before traffic flows. rng provides randomness for key
-// rotation and may be nil when rotation is disabled.
+// new-key exchange before traffic flows. rng is where the session keys
+// rotated in — periodically and at every proactive recovery — come from:
+// hosts pass crypto/rand.Reader (as bft.StartReplica does). With a nil rng
+// the replica draws from a stream seeded with its id, which keeps
+// simulations reproducible and makes rotated keys predictable; a nil rng is
+// refused when periodic rotation is on.
 func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto.Meter, rng io.Reader) (*Replica, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -192,7 +198,7 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 		return nil, fmt.Errorf("core: replica %d: key rotation enabled without a randomness source", cfg.Self)
 	}
 	if rng == nil {
-		rng = rand.New(rand.NewSource(int64(cfg.Self) + 1)) //nolint:gosec // unused unless rotation is on
+		rng = rand.New(rand.NewSource(int64(cfg.Self) + 1)) //nolint:gosec // deterministic on purpose; hosts pass crypto/rand
 	}
 	peers := make([]int, 0, cfg.N-1)
 	for i := 0; i < cfg.N; i++ {
@@ -304,6 +310,19 @@ func (r *Replica) PeerHeard(dst []time.Duration) []time.Duration {
 	return append(dst, r.statusHeard...)
 }
 
+// sortedKeys returns m's keys in ascending order. It is the engine's one
+// way to walk a map whose walk order reaches the wire or the trace: map
+// iteration order is random, and the determinism contract (DESIGN.md §4a)
+// forbids it from leaking out.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // otherReplicas lists every replica id except this one. The returned slice
 // is cached; callers must not mutate it.
 func (r *Replica) otherReplicas() []int { return r.peers }
@@ -324,12 +343,6 @@ func (r *Replica) Init(env proc.Env) {
 	}
 	if r.cfg.KeyRotationInterval > 0 {
 		env.SetTimer(timerKeyRotation, r.cfg.KeyRotationInterval)
-	}
-	if r.cfg.RecoveryInterval > 0 {
-		// Stagger the first firing by the replica id so the group never
-		// recovers more than one replica at a time.
-		stagger := r.cfg.RecoveryInterval / time.Duration(r.cfg.N)
-		env.SetTimer(timerRecovery, r.cfg.RecoveryInterval+stagger*time.Duration(r.cfg.Self))
 	}
 }
 
@@ -413,9 +426,6 @@ func (r *Replica) OnTimer(key int) {
 		r.fetchLateBodies()
 	case timerRecovery:
 		r.startRecovery()
-		if r.cfg.RecoveryInterval > 0 {
-			r.env.SetTimer(timerRecovery, r.cfg.RecoveryInterval)
-		}
 	}
 }
 

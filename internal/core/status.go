@@ -1,10 +1,8 @@
 package core
 
 import (
-	"sort"
 	"time"
 
-	"bftfast/internal/crypto"
 	"bftfast/internal/message"
 )
 
@@ -34,11 +32,11 @@ func (r *Replica) statusTick() {
 	if r.st != nil {
 		// Retry the stalled phase of the state transfer.
 		if r.st.meta == nil {
-			r.sendFetch(0, 0)
+			r.broadcast(r.buildFetch(0, 0, r.lastStable, nil))
 		} else {
 			for i, frag := range r.st.frags {
 				if frag == nil {
-					r.sendFetch(1, int64(i))
+					r.send(r.st.fetchDst, r.buildFetch(1, int64(i), r.st.meta.Seq, nil))
 				}
 			}
 		}
@@ -64,32 +62,16 @@ func (r *Replica) statusTick() {
 		}
 		r.broadcast(r.lastNewView)
 	}
-	s := &message.Status{
-		View:         r.view,
-		InViewChange: r.inViewChange,
-		LastStable:   r.lastStable,
-		LastExec:     r.lastCommittedExec,
-		Replica:      int32(r.cfg.Self),
-	}
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, s.AuthContent(&r.contentEnc))
-	s.Auth = r.authScratch
-	r.broadcast(s)
-	// The loops below walk the log in ascending sequence order, never in
-	// map order: the help limit means iteration order picks WHICH slots
-	// get retransmitted, so map order would both break determinism (two
-	// runs of one seed diverge at the first saturated status tick) and
-	// waste the budget on slots deep in the window while the execution
-	// head — the only slot whose completion advances lastExec — stays
-	// stalled.
-	seqs := make([]int64, 0, len(r.log))
-	for n := range r.log {
-		seqs = append(seqs, n)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	r.broadcast(r.buildStatus())
+	// The loops below walk the log in ascending sequence order: the help
+	// limit means the order picks WHICH slots get retransmitted, and the
+	// execution head — the only slot whose completion advances lastExec —
+	// must not wait behind slots deep in the window.
+	seqs := sortedKeys(r.log)
 	// Re-fetch bodies for any new-view batches still unknown.
 	for _, n := range seqs {
 		if r.log[n].unknownBatch {
-			r.fetchBatch(n)
+			r.broadcast(r.buildFetch(-1, n, r.lastStable, nil))
 		}
 	}
 	// Backstop for the grace-timer body fetch (see onPrePrepare and
@@ -114,22 +96,45 @@ func (r *Replica) statusTick() {
 			if s.sentCommit {
 				r.broadcast(r.buildCommit(s))
 			}
-			// The primary re-multicasts the pre-prepare in its ORIGINAL
-			// separate-transmission shape — digests for large bodies,
-			// inline only below the threshold — never the fully inlined
-			// rebuild. A stalled slot usually means a lost datagram, and
-			// the re-sent assignment is what a backup needs to notice
-			// which bodies it lacks and fetch exactly those (the
-			// pre-prepare handler already does a targeted fetch). Pushing
-			// every body to everyone on each status tick instead floods
-			// the links the prepares are queued behind whenever commit
-			// latency merely exceeds the tick period — measured at 75% of
-			// primary egress in the 4 KB/0 microbenchmark at 200 clients,
-			// a self-sustaining collapse.
+			// The primary re-multicasts the pre-prepare in its original
+			// shape (see rebuildPrePrepares): a stalled slot usually means a
+			// lost datagram, and the re-sent assignment is what a backup
+			// needs to notice which bodies it lacks and fetch exactly those.
+			// Pushing every body to everyone on each status tick instead
+			// floods the links the prepares are queued behind whenever
+			// commit latency merely exceeds the tick period — measured at
+			// 75% of primary egress in the 4 KB/0 microbenchmark at 200
+			// clients, a self-sustaining collapse.
 			if r.leadsSeq(s.seq) {
-				r.broadcast(r.buildResendPP(s))
+				for _, pp := range r.rebuildPrePrepares(s, nil) {
+					r.broadcast(pp)
+				}
 			}
 		}
+	}
+}
+
+// buildStatus builds this replica's status report under buildPrepare's
+// rule.
+func (r *Replica) buildStatus() *message.Status {
+	s := &message.Status{
+		View:         r.view,
+		InViewChange: r.inViewChange,
+		LastStable:   r.lastStable,
+		LastExec:     r.lastCommittedExec,
+		Replica:      int32(r.cfg.Self),
+	}
+	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, s.AuthContent(&r.contentEnc))
+	s.Auth = r.authScratch
+	return s
+}
+
+// armBodyFetch starts the grace period after which fetchLateBodies runs,
+// unless one is already running.
+func (r *Replica) armBodyFetch() {
+	if !r.bodyFetchArmed {
+		r.bodyFetchArmed = true
+		r.env.SetTimer(timerBodyFetch, r.cfg.StatusInterval/16)
 	}
 }
 
@@ -144,126 +149,80 @@ func (r *Replica) fetchLateBodies() {
 	if r.inViewChange {
 		return
 	}
-	seqs := make([]int64, 0, len(r.log))
-	for n := range r.log {
-		if s := r.log[n]; s.havePP && s.missing > 0 && !s.unknownBatch {
-			seqs = append(seqs, n)
+	sent := 0
+	for _, n := range sortedKeys(r.log) {
+		s := r.log[n]
+		if !s.havePP || s.missing == 0 || s.unknownBatch {
+			continue
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for i, n := range seqs {
-		if i >= statusHelpLimit {
-			if !r.bodyFetchArmed {
-				r.bodyFetchArmed = true
-				r.env.SetTimer(timerBodyFetch, r.cfg.StatusInterval/16)
-			}
+		if sent == statusHelpLimit {
+			r.armBodyFetch()
 			return
 		}
-		s := r.log[n]
+		sent++
 		var missing []int32
 		for j, req := range s.requests {
 			if req == nil {
 				missing = append(missing, int32(j))
 			}
 		}
-		f := &message.Fetch{Level: -1, Index: n, Seq: r.lastStable, Missing: missing, Replica: int32(r.cfg.Self)}
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
-		f.Auth = r.authScratch
-		r.send(r.leaderOfSeq(r.view, n), f)
+		r.send(r.leaderOfSeq(r.view, n), r.buildFetch(-1, n, r.lastStable, missing))
 	}
 }
 
-// buildResendPP reconstructs a batch's pre-prepare in the same shape the
-// original was sent: separately transmitted bodies stay digest references,
-// only sub-threshold requests ride inline. The slot's retained
-// authenticator stays valid — it covers (view, seq, batch digest, commits),
-// not the refs — and a freshly authenticated one is built for batches
-// adopted through a view change.
-func (r *Replica) buildResendPP(s *slot) *message.PrePrepare {
-	auth := s.ppAuth
-	if auth == nil {
-		content := message.OrderContentWithCommits(&r.contentEnc, s.view, s.seq, s.batchDigest, s.ppCommits)
-		auth = r.suite.Auth(r.cfg.N, content)
-		s.ppAuth = auth
-	}
-	refs := make([]message.RequestRef, len(s.reqDigests))
-	for i, d := range s.reqDigests {
-		refs[i] = message.RequestRef{Digest: d}
-		if req := s.requests[i]; req != nil {
-			raw := message.Marshal(&r.wireEnc, req)
-			if !(r.cfg.Opts.SeparateRequests && len(raw) > r.cfg.InlineThreshold) {
-				refs[i] = message.RequestRef{Inline: raw}
-			}
-		}
-	}
-	return &message.PrePrepare{View: s.view, Seq: s.seq, Refs: refs, Commits: s.ppCommits, Auth: auth}
-}
-
-// retransmitChunkBudget bounds the inline payload of one recovery
+// retransmitChunkBudget bounds the inline payload of one rebuilt
 // pre-prepare (well under the 64 KB datagram limit).
 const retransmitChunkBudget = 40 << 10
 
-// rebuildPrePrepares reconstructs authenticated pre-prepare messages for a
-// resolved slot, inlining the selected bodies across as many chunks as
-// needed. A nil or empty include inlines everything; otherwise only the
-// listed batch entries ride inline and the rest stay digest references.
-// The response to a targeted body fetch must be proportionate: under load
-// batches grow toward the request cap, and inlining a ~64-entry batch of
-// 4 KB bodies to answer a single missing one multiplies a lost datagram
-// into hundreds of kilobytes of egress — enough to saturate the primary's
-// link and make the loss self-sustaining. Out-of-range indices from a
-// Byzantine requester are ignored.
-func (r *Replica) rebuildPrePrepares(s *slot, include []int32) []*message.PrePrepare {
-	auth := s.ppAuth
-	if auth == nil {
-		// We proposed this batch; authenticate the retransmission fresh.
-		// The authenticator outlives this call (it is shared by every
-		// rebuilt chunk), so it cannot use the replica's scratch.
+// rebuildPrePrepares reconstructs a resolved slot's pre-prepare for
+// retransmission, split into as many chunks as its inline bodies need.
+// include selects the batch entries that ride inline; the rest stay digest
+// references. A nil include is the shape the batch was first sent in —
+// every body that is not separately transmitted rides inline — and always
+// fits one chunk while MaxBatchBytes is within the budget. That is what the
+// status protocol resends: a peer lagging on ordering almost always holds
+// the separately transmitted bodies already (clients multicast them to
+// every replica). A fetch answer inlines what the fetcher named, and must
+// stay proportionate: under load batches grow toward the request cap, and
+// inlining a ~64-entry batch of 4 KB bodies to answer a single missing one
+// multiplies a lost datagram into hundreds of kilobytes of egress.
+//
+// The authenticator covers (view, seq, batch digest, commits), not the
+// refs, so the slot's retained one serves every shape; a slot without one
+// (a batch adopted through a view change) gets a fresh one, retained for
+// the next retransmission.
+func (r *Replica) rebuildPrePrepares(s *slot, include []bool) []*message.PrePrepare {
+	if s.ppAuth == nil {
 		content := message.OrderContentWithCommits(&r.contentEnc, s.view, s.seq, s.batchDigest, s.ppCommits)
-		auth = r.suite.Auth(r.cfg.N, content)
-	}
-	want := make([]bool, len(s.requests))
-	if len(include) == 0 {
-		for i := range want {
-			want[i] = true
-		}
-	} else {
-		for _, i := range include {
-			if i >= 0 && int(i) < len(want) {
-				want[i] = true
-			}
-		}
+		s.ppAuth = r.suite.Auth(r.cfg.N, content)
 	}
 	var out []*message.PrePrepare
-	next := 0
-	for {
+	for next := 0; ; {
 		refs := make([]message.RequestRef, len(s.requests))
 		for i := range refs {
-			refs[i] = message.RequestRef{Digest: s.reqDigests[i]}
+			refs[i].Digest = s.reqDigests[i]
 		}
-		budget := retransmitChunkBudget
-		progressed := false
-		for ; next < len(s.requests); next++ {
-			if !want[next] {
+		budget, progressed := retransmitChunkBudget, false
+		for ; next < len(refs); next++ {
+			if include != nil && !include[next] {
 				continue
 			}
 			raw := message.Marshal(&r.wireEnc, s.requests[next])
+			if include == nil && r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
+				continue
+			}
 			if progressed && len(raw) > budget {
 				break
 			}
-			refs[next].Inline = raw
-			refs[next].Digest = crypto.Digest{}
+			refs[next] = message.RequestRef{Inline: raw}
 			budget -= len(raw)
 			progressed = true
 		}
-		out = append(out, &message.PrePrepare{
-			View: s.view, Seq: s.seq, Refs: refs, Commits: s.ppCommits, Auth: auth,
-		})
-		if next >= len(s.requests) {
-			break
+		out = append(out, &message.PrePrepare{View: s.view, Seq: s.seq, Refs: refs, Commits: s.ppCommits, Auth: s.ppAuth})
+		if next == len(refs) {
+			return out
 		}
 	}
-	return out
 }
 
 // stuck reports whether this replica is waiting on remote progress AND has
@@ -342,10 +301,7 @@ func (r *Replica) onStatus(s *message.Status) {
 	// the original checkpoint broadcasts were lost group-wide (otherwise
 	// the log window would jam permanently once h+L filled).
 	if own := r.latestOwnCheckpointAbove(s.LastStable); own > 0 {
-		ck := &message.Checkpoint{Seq: own, StateD: r.checkpoints[own][int32(r.cfg.Self)], Replica: int32(r.cfg.Self)}
-		r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
-		ck.Auth = r.authScratch
-		r.send(sender, ck)
+		r.send(sender, r.buildCheckpoint(own, r.checkpoints[own][int32(r.cfg.Self)]))
 	}
 
 	// The peer lags a view: replay the evidence that got us here.
@@ -376,40 +332,36 @@ func (r *Replica) onStatus(s *message.Status) {
 	}
 
 	// Normal-case catch-up: retransmit the ordering evidence for batches
-	// the peer has not executed, a bounded number per tick.
+	// the peer has not executed, lowest first, a bounded number per tick.
 	if s.View != r.view || r.inViewChange || s.LastExec >= r.lastCommittedExec {
 		return
 	}
-	seqs := make([]int64, 0, statusHelpLimit)
-	for n := range r.log {
-		if n > s.LastExec && n <= r.lastCommittedExec && n > s.LastStable {
-			seqs = append(seqs, n)
+	helped := 0
+	for _, n := range sortedKeys(r.log) {
+		if helped == statusHelpLimit {
+			break
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	if len(seqs) > statusHelpLimit {
-		seqs = seqs[:statusHelpLimit]
-	}
-	for _, n := range seqs {
-		r.retransmitSlot(sender, r.log[n])
+		if n > s.LastExec && n <= r.lastCommittedExec && n > s.LastStable {
+			r.retransmitSlot(sender, r.log[n])
+			helped++
+		}
 	}
 }
 
 // retransmitSlot resends the ordering evidence this replica holds for one
-// batch: the pre-prepare in its original separate-transmission shape, plus
-// a freshly authenticated prepare (if we are a backup) and commit. The
-// pre-prepare deliberately does NOT inline separately transmitted bodies:
-// a peer lagging on execution almost always holds them already (clients
-// multicast bodies to every replica) and is missing only ordering
-// messages. Re-pushing ~8 fully inlined batches per status tick per
-// lagging peer was measured at 2x the primary's entire egress link in the
-// 4 KB/0 microbenchmark at 200 clients — the receiver fetches exactly the
-// bodies it still lacks instead (see fetchLateBodies).
+// batch: the pre-prepare in its original shape (see rebuildPrePrepares),
+// plus a freshly authenticated prepare (if we are a backup) and commit.
+// Re-pushing ~8 fully inlined batches per status tick per lagging peer was
+// measured at 2x the primary's entire egress link in the 4 KB/0
+// microbenchmark at 200 clients — the receiver fetches exactly the bodies
+// it still lacks instead (see fetchLateBodies).
 func (r *Replica) retransmitSlot(dst int, s *slot) {
-	if s == nil || !s.resolved() {
+	if !s.resolved() {
 		return
 	}
-	r.send(dst, r.buildResendPP(s))
+	for _, pp := range r.rebuildPrePrepares(s, nil) {
+		r.send(dst, pp)
+	}
 	if s.sentPrepare {
 		r.send(dst, r.buildPrepare(s, nil))
 	}

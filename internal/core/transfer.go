@@ -45,36 +45,20 @@ func (r *Replica) beginStateTransfer(target int64) {
 		bad = make(map[int]bool)
 	}
 	r.st = &stateTransfer{target: target, bad: bad}
-	r.sendFetch(0, 0)
+	r.broadcast(r.buildFetch(0, 0, r.lastStable, nil))
 }
 
-// sendFetch multicasts a fetch for a meta (level 0) or unicasts a fragment
-// fetch (level 1) to the current transfer source.
-func (r *Replica) sendFetch(level int32, index int64) {
-	seq := r.lastStable
-	if level == 1 {
-		if r.st == nil || r.st.meta == nil {
-			return
-		}
-		seq = r.st.meta.Seq
-	}
-	f := &message.Fetch{Level: level, Index: index, Seq: seq, Replica: int32(r.cfg.Self)}
+// buildFetch builds this replica's fetch under buildPrepare's rule. Every
+// ask goes through here: level 0 asks the group for the meta-data of a
+// checkpoint newer than seq, level 1 asks the transfer source for fragment
+// index of checkpoint seq, and level -1 asks for the batch at sequence
+// number index — inlining the entries listed in missing, or all of them
+// when it is empty (seq is then this replica's stable checkpoint).
+func (r *Replica) buildFetch(level int32, index, seq int64, missing []int32) *message.Fetch {
+	f := &message.Fetch{Level: level, Index: index, Seq: seq, Missing: missing, Replica: int32(r.cfg.Self)}
 	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
 	f.Auth = r.authScratch
-	if level == 0 {
-		r.broadcast(f)
-	} else {
-		r.send(r.st.fetchDst, f)
-	}
-}
-
-// fetchBatch asks the group for the full contents of a batch chosen by a
-// new-view whose bodies this replica never saw.
-func (r *Replica) fetchBatch(seq int64) {
-	f := &message.Fetch{Level: -1, Index: seq, Seq: r.lastStable, Replica: int32(r.cfg.Self)}
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, f.AuthContent(&r.contentEnc))
-	f.Auth = r.authScratch
-	r.broadcast(f)
+	return f
 }
 
 // chunked returns the fragmentation of retained checkpoint seq, serializing
@@ -122,7 +106,18 @@ func (r *Replica) onFetch(f *message.Fetch) {
 		if s == nil || !s.resolved() || s.null {
 			return
 		}
-		for _, pp := range r.rebuildPrePrepares(s, f.Missing) {
+		// Inline the entries the fetcher named, or all of them when it named
+		// none; out-of-range entries from a Byzantine requester are ignored.
+		include := make([]bool, len(s.requests))
+		for i := range include {
+			include[i] = len(f.Missing) == 0
+		}
+		for _, i := range f.Missing {
+			if i >= 0 && int(i) < len(include) {
+				include[i] = true
+			}
+		}
+		for _, pp := range r.rebuildPrePrepares(s, include) {
 			r.send(sender, pp)
 		}
 	case 0: // meta-data of our last stable checkpoint
@@ -181,7 +176,7 @@ func (r *Replica) onMeta(m *message.Meta) {
 	st.missing = len(m.Children)
 	st.fetchDst = sender
 	for i := range m.Children {
-		r.sendFetch(1, int64(i))
+		r.send(sender, r.buildFetch(1, int64(i), m.Seq, nil))
 	}
 }
 
@@ -240,15 +235,10 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 	// otherwise they keep the suspicion timer armed forever.
 	for d, buf := range r.reqBuffer {
 		if rec, ok := r.clients[buf.req.Client]; ok && buf.req.Timestamp <= rec.lastTimestamp {
-			delete(r.reqBuffer, d)
-			delete(r.inFlight, d)
-			delete(r.missingBody, d)
+			r.forgetRequest(d)
 		}
 	}
-	ck := &message.Checkpoint{Seq: seq, StateD: st.expect, Replica: int32(r.cfg.Self)}
-	r.authScratch = r.suite.AuthInto(r.authScratch, r.cfg.N, ck.AuthContent(&r.contentEnc))
-	ck.Auth = r.authScratch
-	r.broadcast(ck)
+	r.broadcast(r.buildCheckpoint(seq, st.expect))
 	r.tryExecute()
 	r.syncVCTimer(true)
 }
@@ -263,5 +253,5 @@ func (r *Replica) failTransfer(source int) {
 	st.meta = nil
 	st.frags = nil
 	st.missing = 0
-	r.sendFetch(0, 0)
+	r.broadcast(r.buildFetch(0, 0, r.lastStable, nil))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sort"
 
 	"bftfast/internal/crypto"
@@ -34,10 +35,9 @@ func (r *Replica) mergePQSets() {
 
 func pqSlice(m map[int64]message.PQEntry) []message.PQEntry {
 	out := make([]message.PQEntry, 0, len(m))
-	for _, e := range m {
-		out = append(out, e)
+	for _, n := range sortedKeys(m) {
+		out = append(out, m[n])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
@@ -91,15 +91,10 @@ func (r *Replica) startViewChange(newView int64) {
 // protocol trace, so map iteration order must not leak into it.
 func (r *Replica) ackStoredViewChanges(view int64) {
 	recs := r.vcs[view]
-	origins := make([]int32, 0, len(recs))
-	for origin := range recs {
+	for _, origin := range sortedKeys(recs) {
 		if int(origin) != r.cfg.Self {
-			origins = append(origins, origin)
+			r.sendViewChangeAck(origin, recs[origin].digest)
 		}
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-	for _, origin := range origins {
-		r.sendViewChangeAck(origin, recs[origin].digest)
 	}
 }
 
@@ -200,12 +195,11 @@ func (r *Replica) maybeJoinHigherView() {
 	if len(proponents) < r.cfg.F()+1 {
 		return
 	}
-	views := make([]int64, 0, len(proponents))
+	target := int64(math.MaxInt64)
 	for _, v := range proponents {
-		views = append(views, v)
+		target = min(target, v)
 	}
-	sort.Slice(views, func(i, j int) bool { return views[i] < views[j] })
-	r.startViewChange(views[0])
+	r.startViewChange(target)
 }
 
 // onViewChangeAck lets the new primary accumulate support for view-change
@@ -277,14 +271,9 @@ func (r *Replica) tryNewView() {
 	if !ok {
 		return // need more view-change messages
 	}
-	origins := make([]int32, 0, len(supported))
-	for o := range supported {
-		origins = append(origins, o)
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 	nv := &message.NewView{View: r.view, MinSeq: minSeq, Batches: batches}
 	var vcRaws []*message.ViewChange
-	for _, o := range origins {
+	for _, o := range sortedKeys(supported) {
 		nv.VCs = append(nv.VCs, message.VCRef{Replica: o, Digest: supported[o].digest})
 		vcRaws = append(vcRaws, supported[o].vc)
 	}
@@ -597,15 +586,10 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 
 	// Restart ordering: backups prepare every re-proposed batch; unknown
 	// bodies are fetched by digest.
-	seqs := make([]int64, 0, len(r.log))
-	for n := range r.log {
-		seqs = append(seqs, n)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, n := range seqs {
+	for _, n := range sortedKeys(r.log) {
 		s := r.log[n]
 		if s.unknownBatch {
-			r.fetchBatch(n)
+			r.broadcast(r.buildFetch(-1, n, r.lastStable, nil))
 			continue
 		}
 		if s.committed {
@@ -652,15 +636,9 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 // may never have seen them.
 func (r *Replica) salvageRequests(oldLog map[int64]*slot) {
 	g := r.cfg.groups()
-	// Walk superseded slots in ascending sequence order, not map order:
-	// the relays below hit the wire, and send order is part of the
-	// determinism contract.
-	seqs := make([]int64, 0, len(oldLog))
-	for n := range oldLog {
-		seqs = append(seqs, n)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, n := range seqs {
+	// The relays below hit the wire: walk superseded slots in sequence
+	// order.
+	for _, n := range sortedKeys(oldLog) {
 		s := oldLog[n]
 		for i, req := range s.requests {
 			if req == nil {
@@ -679,7 +657,7 @@ func (r *Replica) salvageRequests(oldLog map[int64]*slot) {
 			raw := message.Marshal(&r.wireEnc, req)
 			r.reqBuffer[d] = &bufferedRequest{req: req, raw: raw, digest: d, relayed: true}
 			leader := r.cfg.LeaderOf(r.view, instanceForDigest(d, g))
-			if leader != r.cfg.Self && !(r.cfg.Opts.SeparateRequests && len(raw) > r.cfg.InlineThreshold) {
+			if leader != r.cfg.Self && !r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
 				// Send buffers hand ownership to the environment; the
 				// buffered copy stays ours.
 				r.env.Send(leader, append([]byte(nil), raw...))
@@ -728,7 +706,8 @@ func (r *Replica) copyBatch(s, os *slot) {
 }
 
 // rollbackTentative undoes tentative execution by returning to the newest
-// retained checkpoint and replaying the committed batches above it. It
+// retained checkpoint and replaying the committed batches above it —
+// without replies, traces or counts: clients already have the results. It
 // requires checkpoint snapshots; without them — or if the rollback fails,
 // which for a checkpoint of our own is a programming error — the replica
 // refetches committed state from its peers rather than crashing the group.
@@ -740,8 +719,17 @@ func (r *Replica) rollbackTentative() {
 		return
 	}
 	for n := seq + 1; n <= r.lastCommittedExec; n++ {
-		if s := r.log[n]; s != nil && s.resolved() {
-			r.replayBatch(s)
+		s := r.log[n]
+		if s == nil || !s.resolved() {
+			continue
+		}
+		for _, req := range s.requests {
+			if req == nil {
+				continue
+			}
+			if rec, result, ran := r.applyRequest(req); ran {
+				r.storeReply(rec, req, n, result, false)
+			}
 		}
 	}
 }
@@ -768,30 +756,4 @@ func (r *Replica) rollbackToNewest() (int64, error) {
 	}
 	r.clients = clients
 	return seq, nil
-}
-
-// replayBatch re-applies a committed batch after a rollback without
-// emitting replies (clients already received them).
-func (r *Replica) replayBatch(s *slot) {
-	for _, req := range s.requests {
-		if req == nil {
-			continue
-		}
-		rec := r.clientRec(req.Client)
-		if req.Timestamp <= rec.lastTimestamp {
-			continue
-		}
-		result := r.sm.Execute(req.Client, req.Op, false)
-		rec.lastTimestamp = req.Timestamp
-		rec.lastReply = &message.Reply{
-			View:      r.view,
-			Timestamp: req.Timestamp,
-			Client:    req.Client,
-			Replica:   int32(r.cfg.Self),
-			Full:      true,
-			Result:    result,
-			ResultD:   r.suite.Digest(result),
-		}
-		rec.lastReplySeq = s.seq
-	}
 }

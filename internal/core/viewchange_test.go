@@ -337,11 +337,32 @@ func testViewChangeWithTentativeRollback(t *testing.T, pb bool) {
 	}
 }
 
+// periodicRecovery re-arms its replica's recovery after every firing, as a
+// deployment's watchdog calling ScheduleRecovery would.
+type periodicRecovery struct {
+	*Replica
+	every time.Duration
+}
+
+func (p periodicRecovery) OnTimer(key int) {
+	p.Replica.OnTimer(key)
+	if key == timerRecovery {
+		p.ScheduleRecovery(p.every)
+	}
+}
+
 func TestPeriodicProactiveRecoveryKeepsServiceLive(t *testing.T) {
-	g := buildGroup(t, 4, []int{100}, func(c *Config) {
-		c.RecoveryInterval = 300 * time.Millisecond
-	})
+	const every = 300 * time.Millisecond
+	g := buildGroup(t, 4, []int{100}, nil)
+	for i, r := range g.replicas {
+		g.c.handlers[i] = periodicRecovery{r, every}
+	}
 	g.c.start()
+	// Stagger the first firing by the replica id so the group never
+	// recovers more than one replica at a time.
+	for i, r := range g.replicas {
+		r.ScheduleRecovery(every + every/time.Duration(g.n)*time.Duration(i))
+	}
 	// Run long enough for every replica to recover at least twice while a
 	// client keeps the service busy.
 	for i := 0; i < 12; i++ {
