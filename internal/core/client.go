@@ -53,9 +53,18 @@ type ClientStats struct {
 
 // replyVote is one replica's (latest) opinion about the pending request.
 type replyVote struct {
+	voted     bool
 	resultD   crypto.Digest
 	tentative bool
 	view      int64
+}
+
+// voteTally counts the votes for one result digest.
+type voteTally struct {
+	resultD   crypto.Digest
+	committed int
+	total     int
+	maxView   int64
 }
 
 // pendingOp is the client's single outstanding request.
@@ -65,7 +74,7 @@ type pendingOp struct {
 	asRW      bool // read-only op retried through the read-write path
 	timestamp int64
 	replier   int32
-	votes     map[int32]replyVote
+	votes     []replyVote              // indexed by replica
 	fullBody  map[crypto.Digest][]byte // verified full results by digest
 	timeout   time.Duration
 	retries   int
@@ -105,13 +114,15 @@ type Client struct {
 	// Hot-path scratch state (the engine is single-threaded): the two
 	// encoders (contentEnc's bytes are hashed or MAC'd, never sent;
 	// wireEnc's are cloned once for Env.Send), the cached all-replicas
-	// destination slice, a reusable request authenticator, and a
-	// decode-into reply.
+	// destination slice, a reusable request authenticator, a decode-into
+	// reply, and checkCertificate's per-digest tally (filled in replica
+	// order).
 	contentEnc   message.Encoder
 	wireEnc      message.Encoder
 	all          []int
 	authScratch  crypto.Authenticator
 	replyScratch message.Reply
+	tallies      []voteTally
 
 	rec   *obs.Recorder // nil disables tracing
 	stats ClientStats
@@ -204,7 +215,7 @@ func (c *Client) Submit(op []byte, readOnly bool, done func(result []byte)) {
 func (c *Client) begin(p *pendingOp) {
 	c.ts++
 	p.timestamp = c.ts
-	p.votes = make(map[int32]replyVote)
+	p.votes = make([]replyVote, c.cfg.N)
 	p.fullBody = make(map[crypto.Digest][]byte)
 	p.timeout = c.cfg.RetransmitTimeout
 	if adaptive := 4 * c.srtt; adaptive > p.timeout {
@@ -305,11 +316,11 @@ func (c *Client) onReply(rep *message.Reply) {
 		}
 		p.fullBody[rep.ResultD] = rep.Result
 	}
-	prev, seen := p.votes[rep.Replica]
-	if seen && prev.resultD == rep.ResultD && !prev.tentative {
+	prev := p.votes[sender]
+	if prev.voted && prev.resultD == rep.ResultD && !prev.tentative {
 		return // nothing new
 	}
-	p.votes[rep.Replica] = replyVote{resultD: rep.ResultD, tentative: rep.Tentative, view: rep.View}
+	p.votes[sender] = replyVote{voted: true, resultD: rep.ResultD, tentative: rep.Tentative, view: rep.View}
 	c.checkCertificate(p)
 }
 
@@ -318,18 +329,19 @@ func (c *Client) onReply(rep *message.Reply) {
 // counts) — always 2f+1 for the read-only fast path, which never commits.
 func (c *Client) checkCertificate(p *pendingOp) {
 	f := (c.cfg.N - 1) / 3
-	type tally struct {
-		committed int
-		total     int
-		maxView   int64
-	}
-	counts := make(map[crypto.Digest]*tally)
+	c.tallies = c.tallies[:0]
 	for _, v := range p.votes {
-		t := counts[v.resultD]
-		if t == nil {
-			t = &tally{}
-			counts[v.resultD] = t
+		if !v.voted {
+			continue
 		}
+		i := 0
+		for i < len(c.tallies) && c.tallies[i].resultD != v.resultD {
+			i++
+		}
+		if i == len(c.tallies) {
+			c.tallies = append(c.tallies, voteTally{resultD: v.resultD})
+		}
+		t := &c.tallies[i]
 		t.total++
 		if !v.tentative {
 			t.committed++
@@ -339,12 +351,13 @@ func (c *Client) checkCertificate(p *pendingOp) {
 		}
 	}
 	readFast := p.readOnly && !p.asRW && c.cfg.Opts.ReadOnly
-	for d, t := range counts {
+	for i := range c.tallies {
+		t := &c.tallies[i]
 		ok := t.total >= 2*f+1 || (!readFast && t.committed >= f+1)
 		if !ok {
 			continue
 		}
-		body, have := p.fullBody[d]
+		body, have := p.fullBody[t.resultD]
 		if !have {
 			continue // certificate ready but full result still in flight
 		}
@@ -367,10 +380,6 @@ func (c *Client) checkCertificate(p *pendingOp) {
 			next := c.queue[0]
 			c.queue = c.queue[1:]
 			c.cur = next
-			// Certificate thresholds exceed half the per-replica votes, so
-			// at most one digest can qualify: this path runs on at most one
-			// iteration (and returns), making the walk order unobservable.
-			//bftvet:allow:mapsend at most one digest holds a certificate; the loop sends once then returns
 			c.begin(next)
 		}
 		if done != nil {
@@ -395,7 +404,7 @@ func (c *Client) OnTimer(key int) {
 		p.asRW = true
 		c.ts++
 		p.timestamp = c.ts
-		p.votes = make(map[int32]replyVote)
+		clear(p.votes)
 		p.fullBody = make(map[crypto.Digest][]byte)
 	}
 	c.transmit(p, true)

@@ -37,11 +37,9 @@ func AuthenticatorInto(t *KeyTable, dst Authenticator, n int, content ...[]byte)
 		if j == t.self {
 			continue
 		}
-		k, ok := t.out[j]
-		if !ok {
-			continue
+		if m, ok := t.macLocked(t.out, j, content); ok {
+			dst[j] = m
 		}
-		dst[j] = stateFor(t.outState, j, k).compute(content)
 	}
 	t.mu.Unlock()
 	return dst
@@ -56,11 +54,8 @@ func VerifyEntry(t *KeyTable, sender int, a Authenticator, content ...[]byte) bo
 	if t.self >= len(a) || sender == t.self {
 		return false
 	}
-	want, ok := t.inboundMAC(sender, content)
-	if !ok {
-		return false
-	}
-	return macEqual(want, a[t.self])
+	want, ok := t.macFor(t.in, sender, content)
+	return ok && macEqual(want, a[t.self])
 }
 
 // SingleMAC computes a point-to-point MAC from the holder of t to receiver.
@@ -68,14 +63,11 @@ func VerifyEntry(t *KeyTable, sender int, a Authenticator, content ...[]byte) bo
 // replica, replies to a client). The second result is false when no key is
 // available yet.
 func SingleMAC(t *KeyTable, receiver int, content ...[]byte) (MAC, bool) {
-	return t.outboundMAC(receiver, content)
+	return t.macFor(t.out, receiver, content)
 }
 
 // VerifySingle checks a point-to-point MAC from sender to the holder of t.
 func VerifySingle(t *KeyTable, sender int, tag MAC, content ...[]byte) bool {
-	want, ok := t.inboundMAC(sender, content)
-	if !ok {
-		return false
-	}
-	return macEqual(want, tag)
+	want, ok := t.macFor(t.in, sender, content)
+	return ok && macEqual(want, tag)
 }

@@ -2,6 +2,8 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/aes"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -73,6 +75,137 @@ func TestMACDeterministicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMACKnownAnswers checks the kernel against RFC 4493's AES-128-CMAC
+// examples: the subkeys, the full 16-byte CMAC, and the 8-byte tag.
+func TestMACKnownAnswers(t *testing.T) {
+	var k Key
+	copy(k[:], unhex(t, "2b7e151628aed2a6abf7158809cf4f3c"))
+	st := newMACState(k)
+	if got, want := st.k1[:], unhex(t, "fbeed618357133667c85e08f7236a8de"); !bytes.Equal(got, want) {
+		t.Errorf("K1 = %x, want %x", got, want)
+	}
+	if got, want := st.k2[:], unhex(t, "f7ddac306ae266ccf90bc11ee46d513b"); !bytes.Equal(got, want) {
+		t.Errorf("K2 = %x, want %x", got, want)
+	}
+	msg := unhex(t, "6bc1bee22e409f96e93d7e117393172a"+
+		"ae2d8a571e03ac9c9eb76fac45af8e51"+
+		"30c81c46a35ce411e5fbc1191a0a52ef"+
+		"f69f2445df4f9b17ad2b417be66c3710")
+	for _, c := range []struct {
+		n    int
+		cmac string
+	}{
+		{0, "bb1d6929e95937287fa37d129b756746"},
+		{16, "070a16b46b4d4144f79bdd9dd04a287c"},
+		{40, "dfa66747de9ae63030ca32611497c827"},
+		{64, "51f0bebf7e3b9d92fc49741779363cfe"},
+	} {
+		want := unhex(t, c.cmac)
+		tag := st.compute([][]byte{msg[:c.n]})
+		if got := st.x[:]; !bytes.Equal(got, want) {
+			t.Errorf("CMAC of %d bytes = %x, want %x", c.n, got, want)
+		}
+		if !bytes.Equal(tag[:], want[:MACSize]) || ComputeMAC(k, msg[:c.n]) != tag {
+			t.Errorf("tag of %d bytes = %x, want %x", c.n, tag, want[:MACSize])
+		}
+	}
+}
+
+// referenceCMAC is RFC 4493's algorithm over one contiguous message,
+// written independently of the streaming kernel.
+func referenceCMAC(k Key, msg []byte) MAC {
+	b, _ := aes.NewCipher(k[:])
+	var l [16]byte
+	b.Encrypt(l[:], l[:])
+	k1, k2 := double(l), double(double(l))
+	n := (len(msg) + 15) / 16
+	complete := n > 0 && len(msg)%16 == 0
+	if n == 0 {
+		n = 1
+	}
+	last := make([]byte, 16)
+	copy(last, msg[(n-1)*16:])
+	if complete {
+		for i := range last {
+			last[i] ^= k1[i]
+		}
+	} else {
+		last[len(msg)-(n-1)*16] = 0x80
+		for i := range last {
+			last[i] ^= k2[i]
+		}
+	}
+	x := make([]byte, 16)
+	for i := 0; i < n; i++ {
+		blk := last
+		if i < n-1 {
+			blk = msg[i*16 : (i+1)*16]
+		}
+		for j := range x {
+			x[j] ^= blk[j]
+		}
+		b.Encrypt(x, x)
+	}
+	var m MAC
+	copy(m[:], x)
+	return m
+}
+
+// splitPieces cuts data into pieces whose lengths come from cuts: an empty
+// piece, a multiple of the block size, or an arbitrary length; whatever is
+// left over is the last piece.
+func splitPieces(data, cuts []byte) [][]byte {
+	var pieces [][]byte
+	for _, c := range cuts {
+		var n int
+		switch c % 4 {
+		case 0:
+			n = 0
+		case 1:
+			n = 16 * int(c/4%4)
+		default:
+			n = int(c) % 37
+		}
+		n = min(n, len(data))
+		pieces = append(pieces, data[:n])
+		data = data[n:]
+	}
+	return append(pieces, data)
+}
+
+// TestMACPieceBoundaryIrrelevant: only the concatenated bytes matter, not
+// how they are split. The last-block rule is where a streaming CMAC breaks,
+// so splits at block multiples and empty pieces are generated on purpose,
+// and the oracle is the one-shot reference, not the kernel itself.
+func TestMACPieceBoundaryIrrelevant(t *testing.T) {
+	f := func(key [KeySize]byte, data, cuts []byte) bool {
+		return ComputeMAC(Key(key), splitPieces(data, cuts)...) == referenceCMAC(Key(key), data)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Every two-way split of every length around the first block edges.
+	k := Key{7}
+	data := bytes.Repeat([]byte{0x5c, 0xa3, 0x01}, 30)
+	for n := 0; n <= 80; n++ {
+		want := referenceCMAC(k, data[:n])
+		for i := 0; i <= n; i++ {
+			if got := ComputeMAC(k, data[:i], nil, data[i:n]); got != want {
+				t.Fatalf("length %d split at %d: %x, want %x", n, i, got, want)
+			}
+		}
 	}
 }
 
@@ -166,8 +299,7 @@ func TestSetOutboundRejectsStaleEpoch(t *testing.T) {
 	if tbl.SetOutbound(1, k2, 5) || tbl.SetOutbound(1, k2, 4) {
 		t.Fatal("replayed new-key accepted")
 	}
-	got, ok := tbl.out[1]
-	if !ok || got != k1 {
+	if got, ok := tbl.out[1]; !ok || got.key != k1 {
 		t.Fatal("stale new-key overwrote the current key")
 	}
 	if !tbl.SetOutbound(1, k2, 6) {
@@ -270,6 +402,34 @@ func TestKeyTableExportImportRoundTrip(t *testing.T) {
 	k, _ := NewKey(testRNG(5))
 	if imported.SetOutbound(7, k, 1) {
 		t.Fatal("imported table accepted a stale epoch")
+	}
+}
+
+// TestKeyTableExportDeterministic: one table always exports the same
+// bytes, and an import/export round trip reproduces them.
+func TestKeyTableExportDeterministic(t *testing.T) {
+	tables := make([]*KeyTable, 8)
+	for i := range tables {
+		tables[i] = NewKeyTable(i)
+	}
+	if err := ProvisionAll(testRNG(4), tables); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tables[0].RotateInbound(testRNG(6), []int{1, 2, 3, 4, 5, 6, 7}); err != nil {
+		t.Fatal(err)
+	}
+	blob := tables[0].Export()
+	for i := 0; i < 5; i++ {
+		if again := tables[0].Export(); !bytes.Equal(again, blob) {
+			t.Fatal("two exports of one table differ")
+		}
+	}
+	imported, err := ImportKeyTable(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(imported.Export(), blob) {
+		t.Fatal("import/export round trip changed the bytes")
 	}
 }
 

@@ -4,11 +4,13 @@
 //
 // The original BFT library (Castro & Liskov, 2001) used MD5 for digests and
 // UMAC32 for MACs. This implementation uses SHA-256 truncated to the same
-// output sizes — the protocol only relies on collision resistance (digests)
-// and unforgeability without the key (MACs), which truncated SHA-256/HMAC
-// provide. Performance experiments charge simulated CPU time at 2001-era
-// MD5/UMAC costs through the Meter interface, so the substitution does not
-// change measured shapes.
+// 16-byte digests and AES-128-CMAC (RFC 4493) truncated to the same 8-byte
+// tags. The protocol only relies on collision resistance (digests) and
+// unforgeability without the key (MACs), which both provide; CMAC also keeps
+// UMAC's property that matters for speed, a per-key state built once so a
+// MAC over a short header costs a few block operations. Performance
+// experiments charge simulated CPU time at 2001-era MD5/UMAC costs through
+// the Meter interface, so the substitution does not change measured shapes.
 package crypto
 
 import (

@@ -3,6 +3,7 @@ package crypto
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 )
 
@@ -17,85 +18,83 @@ import (
 //   - inbound keys: chosen by this node; peers use them when sending to us.
 //   - outbound keys: chosen by each peer; we use them when sending to them.
 //
-// KeyTable is safe for concurrent use; the engine itself is single-threaded
-// but transports may verify inbound traffic on other goroutines. MAC
-// computation serializes on the table lock: each (peer, direction) caches
-// one mutable HMAC state that Reset reuses, so a busy replica performs no
-// per-MAC allocation.
+// KeyTable is safe for concurrent use: the engine calls it under its node's
+// lock, while host reads such as bft.ExportKeyring come from other
+// goroutines. MAC computation serializes on the table lock too, because each
+// key's MAC state is mutated while it computes; that reuse is what keeps a
+// busy replica from allocating per MAC.
 type KeyTable struct {
 	mu     sync.RWMutex
 	self   int
-	in     map[int]Key   // sender id -> key the sender must use toward us
-	out    map[int]Key   // receiver id -> key we must use toward them
-	epoch  map[int]int64 // receiver id -> freshness counter of their last new-key
-	master map[int]Key   // peer id -> long-term pairwise key (PKI stand-in)
+	in     map[int]peerKey // sender id -> key the sender must use toward us
+	out    map[int]peerKey // receiver id -> key we must use toward them
+	epoch  map[int]int64   // receiver id -> freshness counter of their last new-key
+	master map[int]peerKey // peer id -> long-term pairwise key (PKI stand-in)
 
-	// Cached HMAC states, created lazily from the matching key map and
-	// dropped whenever the key changes. Guarded by mu (write: the states
-	// are mutated during computation).
-	inState     map[int]*macState
-	outState    map[int]*macState
-	masterState map[int]*macState
+	// states holds the MAC states of the keys used so far, each at the
+	// slot its peerKey names.
+	states []*macState
+}
+
+// peerKey is one pairwise key and the slot of its MAC state. The state is
+// built on first use, not when the key is installed: a provisioned mesh
+// gives every node keys for every peer in three directions, most of which a
+// run never uses. The state lives in KeyTable.states, not here, so the key
+// maps hold no pointers: a process hosting a whole provisioned group keeps
+// hundreds of thousands of entries the garbage collector need not scan.
+type peerKey struct {
+	key  Key
+	slot int32 // 1 + index into KeyTable.states; 0 until first use
 }
 
 // NewKeyTable returns an empty key table for node self.
 func NewKeyTable(self int) *KeyTable {
 	return &KeyTable{
-		self:        self,
-		in:          make(map[int]Key),
-		out:         make(map[int]Key),
-		epoch:       make(map[int]int64),
-		master:      make(map[int]Key),
-		inState:     make(map[int]*macState),
-		outState:    make(map[int]*macState),
-		masterState: make(map[int]*macState),
+		self:   self,
+		in:     make(map[int]peerKey),
+		out:    make(map[int]peerKey),
+		epoch:  make(map[int]int64),
+		master: make(map[int]peerKey),
 	}
 }
 
-// stateFor returns the cached HMAC state for key k of peer in cache,
-// creating it on first use. The caller must hold t.mu for writing.
+// setKey installs k as the key keys (one of t.in, t.out, t.master) holds for
+// peer. A key whose state was built keeps its slot, rebuilt for k, so key
+// rotation never grows t.states. The caller must hold the table lock for
+// writing.
+func (t *KeyTable) setKey(keys map[int]peerKey, peer int, k Key) {
+	e := keys[peer]
+	e.key = k
+	if e.slot != 0 {
+		t.states[e.slot-1] = newMACState(k)
+	}
+	keys[peer] = e
+}
+
+// macLocked computes the MAC of pieces under the key keys holds for peer,
+// building its state on first use; ok is false when there is no key. The
+// caller must hold the table lock for writing.
 //
 //bftvet:allocfree
-func stateFor(cache map[int]*macState, peer int, k Key) *macState {
-	st := cache[peer]
-	if st == nil {
-		st = newMACState(k)
-		cache[peer] = st
-	}
-	return st
-}
-
-// outboundMAC computes a MAC toward receiver with the cached state.
-func (t *KeyTable) outboundMAC(receiver int, pieces [][]byte) (MAC, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k, ok := t.out[receiver]
+func (t *KeyTable) macLocked(keys map[int]peerKey, peer int, pieces [][]byte) (MAC, bool) {
+	e, ok := keys[peer]
 	if !ok {
 		return MAC{}, false
 	}
-	return stateFor(t.outState, receiver, k).compute(pieces), true
+	if e.slot == 0 {
+		//bftvet:allow:allocfree one state per key, built once
+		t.states = append(t.states, newMACState(e.key))
+		e.slot = int32(len(t.states))
+		keys[peer] = e
+	}
+	return t.states[e.slot-1].compute(pieces), true
 }
 
-// inboundMAC recomputes the MAC sender must have produced toward this node.
-func (t *KeyTable) inboundMAC(sender int, pieces [][]byte) (MAC, bool) {
+// macFor is macLocked under the table lock.
+func (t *KeyTable) macFor(keys map[int]peerKey, peer int, pieces [][]byte) (MAC, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	k, ok := t.in[sender]
-	if !ok {
-		return MAC{}, false
-	}
-	return stateFor(t.inState, sender, k).compute(pieces), true
-}
-
-// masterMAC computes a MAC toward peer under the long-term pairwise key.
-func (t *KeyTable) masterMAC(peer int, pieces [][]byte) (MAC, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k, ok := t.master[peer]
-	if !ok {
-		return MAC{}, false
-	}
-	return stateFor(t.masterState, peer, k).compute(pieces), true
+	return t.macLocked(keys, peer, pieces)
 }
 
 // Self returns the node id the table belongs to.
@@ -120,8 +119,7 @@ func (t *KeyTable) RotateInbound(rng io.Reader, senders []int) (map[int]Key, err
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for s, k := range fresh {
-		t.in[s] = k
-		delete(t.inState, s)
+		t.setKey(t.in, s, k)
 	}
 	return fresh, nil
 }
@@ -137,8 +135,7 @@ func (t *KeyTable) SetOutbound(receiver int, k Key, epoch int64) bool {
 		return false
 	}
 	t.epoch[receiver] = epoch
-	t.out[receiver] = k
-	delete(t.outState, receiver)
+	t.setKey(t.out, receiver, k)
 	return true
 }
 
@@ -149,10 +146,8 @@ func (t *KeyTable) SetOutbound(receiver int, k Key, epoch int64) bool {
 func (t *KeyTable) Pair(peer int, inbound, outbound Key, epoch int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.in[peer] = inbound
-	t.out[peer] = outbound
-	delete(t.inState, peer)
-	delete(t.outState, peer)
+	t.setKey(t.in, peer, inbound)
+	t.setKey(t.out, peer, outbound)
 	if epoch > t.epoch[peer] {
 		t.epoch[peer] = epoch
 	}
@@ -166,16 +161,15 @@ func (t *KeyTable) Pair(peer int, inbound, outbound Key, epoch int64) {
 func (t *KeyTable) SetMaster(peer int, k Key) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.master[peer] = k
-	delete(t.masterState, peer)
+	t.setKey(t.master, peer, k)
 }
 
 // Master returns the long-term pairwise key shared with peer.
 func (t *KeyTable) Master(peer int) (Key, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	k, ok := t.master[peer]
-	return k, ok
+	e, ok := t.master[peer]
+	return e.key, ok
 }
 
 // MasterAuthenticatorFor computes an authenticator under master keys for
@@ -186,7 +180,7 @@ func MasterAuthenticatorFor(t *KeyTable, n int, content ...[]byte) Authenticator
 		if j == t.self {
 			continue
 		}
-		if m, ok := t.masterMAC(j, content); ok {
+		if m, ok := t.macFor(t.master, j, content); ok {
 			a[j] = m
 		}
 	}
@@ -199,7 +193,7 @@ func VerifyMasterEntry(t *KeyTable, sender int, a Authenticator, content ...[]by
 	if t.self >= len(a) || sender == t.self {
 		return false
 	}
-	want, ok := t.masterMAC(sender, content)
+	want, ok := t.macFor(t.master, sender, content)
 	if !ok {
 		return false
 	}
@@ -211,6 +205,15 @@ func VerifyMasterEntry(t *KeyTable, sender int, a Authenticator, content ...[]by
 // tests, simulations and the examples: table[i] gets inbound keys for every
 // j != i and the matching outbound keys are installed at j.
 func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
+	// Each table ends with a key per peer in every map: size the maps once
+	// rather than growing them through every doubling, which for a mesh of
+	// a few hundred nodes costs a sixth of the provisioning time.
+	for _, t := range tables {
+		t.mu.Lock()
+		n := len(tables) - 1
+		t.in, t.out, t.master, t.epoch = grown(t.in, n), grown(t.out, n), grown(t.master, n), grown(t.epoch, n)
+		t.mu.Unlock()
+	}
 	for _, recv := range tables {
 		for _, send := range tables {
 			if recv.Self() == send.Self() {
@@ -221,8 +224,7 @@ func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
 				return fmt.Errorf("crypto: provisioning keys: %w", err)
 			}
 			recv.mu.Lock()
-			recv.in[send.Self()] = k
-			delete(recv.inState, send.Self())
+			recv.setKey(recv.in, send.Self(), k)
 			recv.mu.Unlock()
 			send.SetOutbound(recv.Self(), k, 1)
 
@@ -237,4 +239,11 @@ func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
 		}
 	}
 	return nil
+}
+
+// grown returns a copy of m with room for n entries.
+func grown[V any](m map[int]V, n int) map[int]V {
+	g := make(map[int]V, max(n, len(m)))
+	maps.Copy(g, m)
+	return g
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Key tables can be exported and re-imported so that separately started
@@ -16,7 +17,8 @@ import (
 var exportMagic = [4]byte{'b', 'f', 't', 'k'}
 
 // Export serializes the table (self id, all inbound/outbound/master keys
-// and epochs).
+// and epochs). Each map is written in ascending id order, so one table
+// always exports the same bytes.
 func (t *KeyTable) Export() []byte {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -28,20 +30,30 @@ func (t *KeyTable) Export() []byte {
 	out = appendKeyMap(out, t.out)
 	out = appendKeyMap(out, t.master)
 	out = appendInt(out, len(t.epoch))
-	for id, e := range t.epoch {
+	for _, id := range sortedIDs(t.epoch) {
 		out = appendInt(out, id)
-		out = binary.LittleEndian.AppendUint64(out, uint64(e))
+		out = binary.LittleEndian.AppendUint64(out, uint64(t.epoch[id]))
 	}
 	return out
+}
+
+func sortedIDs[V any](m map[int]V) []int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 func appendInt(b []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
 }
 
-func appendKeyMap(b []byte, m map[int]Key) []byte {
+func appendKeyMap(b []byte, m map[int]peerKey) []byte {
 	b = appendInt(b, len(m))
-	for id, k := range m {
+	for _, id := range sortedIDs(m) {
+		k := m[id].key
 		b = appendInt(b, id)
 		b = append(b, k[:]...)
 	}
@@ -103,7 +115,7 @@ func (r *keyReader) int() int {
 	return int(int64(binary.LittleEndian.Uint64(r.take(8))))
 }
 
-func (r *keyReader) keyMap() map[int]Key {
+func (r *keyReader) keyMap() map[int]peerKey {
 	n := r.int()
 	if r.err != nil || n < 0 || n > 1<<20 {
 		if r.err == nil {
@@ -111,12 +123,12 @@ func (r *keyReader) keyMap() map[int]Key {
 		}
 		return nil
 	}
-	m := make(map[int]Key, n)
+	m := make(map[int]peerKey, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		id := r.int()
-		var k Key
-		copy(k[:], r.take(KeySize))
-		m[id] = k
+		var e peerKey
+		copy(e.key[:], r.take(KeySize))
+		m[id] = e
 	}
 	return m
 }

@@ -20,7 +20,7 @@ func BenchmarkHotPaths(b *testing.B) {
 }
 
 // allocs measures steady-state allocations of f, letting AllocsPerRun's
-// warm-up call absorb lazy cache fills (HMAC states, scratch growth).
+// warm-up call absorb lazy cache fills (MAC states, scratch growth).
 func allocs(f func()) float64 { return testing.AllocsPerRun(100, f) }
 
 // TestSteadyStateAllocs pins the zero-allocation contract of the hot

@@ -34,8 +34,12 @@ type ChannelNetwork struct {
 	// Fault injection (all optional; guarded by mu).
 	lossRate  float64
 	delay     time.Duration
-	rng       *rand.Rand
 	partition map[int]bool // nodes cut off from everyone
+
+	// Senders hold mu only for reading, so the loss draw, which advances
+	// the seeded stream, takes its own lock.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 }
 
 // NewChannelNetwork returns an empty in-process network.
@@ -109,7 +113,7 @@ func (c *ChannelNetwork) Send(src, dst int, data []byte) {
 	if c.partition[src] || c.partition[dst] {
 		return
 	}
-	if c.lossRate > 0 && c.rng.Float64() < c.lossRate {
+	if c.lossRate > 0 && c.lose() {
 		return
 	}
 	cp := append([]byte(nil), data...)
@@ -122,6 +126,14 @@ func (c *ChannelNetwork) Send(src, dst int, data []byte) {
 		return
 	}
 	c.enqueue(dst, cp)
+}
+
+// lose draws whether the next datagram is dropped at the loss rate. The
+// caller holds the read lock.
+func (c *ChannelNetwork) lose() bool {
+	c.rngMu.Lock()
+	defer c.rngMu.Unlock()
+	return c.rng.Float64() < c.lossRate
 }
 
 // enqueue puts a datagram in dst's mailbox, or drops it when dst is not

@@ -295,6 +295,25 @@ func TestChannelNetworkLossAndDelay(t *testing.T) {
 	}
 }
 
+// TestChannelNetworkConcurrentLossySends: senders hold the network's read
+// lock together, so the loss draw must not share the seeded generator
+// unguarded (run under -race).
+func TestChannelNetworkConcurrentLossySends(t *testing.T) {
+	net := NewChannelNetwork()
+	net.SetLossRate(0.5)
+	var wg sync.WaitGroup
+	for src := 0; src < 2; src++ {
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				net.Send(src, 9, []byte("x")) // 9 is not registered: dropped after the draw
+			}
+		}(src)
+	}
+	wg.Wait()
+}
+
 func TestPublicClusterSurvivesLossyNetwork(t *testing.T) {
 	// Exercised through the raw transport here; the bft package test suite
 	// covers the same path through the public API.
