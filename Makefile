@@ -104,10 +104,17 @@ bench-host:
 # (core.Checkpointer) over real transport; its check includes
 # read-your-write and equal StateDigest at equal last_executed.
 #
-# The last step is a gate, not a smoke: a traced rtt-udp run must send fewer
-# than 4 standalone commit datagrams per operation (12 without piggybacked
-# commits, under 2 with the flush policy of DESIGN.md §14). It is a count
-# taken from the last line run.sh prints, so host speed does not move it.
+# The last two steps are gates, not smokes, each read from the last line
+# run.sh prints. A traced rtt-udp run must send fewer than 4 standalone
+# commit datagrams per operation (12 without piggybacked commits, under 2
+# with the flush policy of DESIGN.md §14); a count, so host speed does not
+# move it. A traced 10 s failover-udp run must report
+# client.post_fault_p90_us under 50 ms once the primary is gone: about 2 ms
+# when the client stops designating the dead replica (DESIGN.md §15),
+# hundreds of ms when every fourth request waits out the 150 ms
+# retransmission timer. The window is 10 s, not 3, because the outage leaves
+# a backlog that takes about 0.4 s to drain. In a 3 s run that is a quarter
+# of the post-fault window, so its p90 would read the drain, not the fault.
 bench-e2e:
 	bash benchmarks/run.sh --workload rtt-udp --seed 1 --seconds 3 --trace 0
 	bash benchmarks/run.sh --workload kv-mixed-udp --seed 1 --seconds 3 --trace 0
@@ -115,6 +122,10 @@ bench-e2e:
 		| sed -n 's/.*"transport\.msgs_per_op\.commit":{"value":\([0-9.e+-]*\).*/\1/p'); \
 	echo "bench-e2e: transport.msgs_per_op.commit = $$commits (want < 4)"; \
 	awk -v c="$$commits" 'BEGIN { exit !(c != "" && c + 0 < 4) }'
+	@p90=$$(bash benchmarks/run.sh --workload failover-udp --seed 1 --seconds 10 --trace 1 | tail -n 1 \
+		| sed -n 's/.*"client\.post_fault_p90_us":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	echo "bench-e2e: client.post_fault_p90_us = $$p90 (want < 50000)"; \
+	awk -v p="$$p90" 'BEGIN { exit !(p != "" && p + 0 < 50000) }'
 
 # Traced per-phase latency breakdown of the 0/0 benchmark, BFT vs
 # tentative-execution-off, written to breakdown.json (reduced windows).

@@ -31,8 +31,10 @@ type ClientConfig struct {
 	// instance its content digest hashes to. 0 or 1 is the single-leader
 	// protocol.
 	Instances int
-	// RetransmitTimeout is the initial request retransmission timeout; it
-	// doubles on each retry up to 8x.
+	// RetransmitTimeout is the first attempt's retransmission timeout until
+	// the client has measured an operation's latency; after that the first
+	// attempt waits max(4·srtt, RetransmitTimeout/8). Each retry doubles
+	// the timeout, up to 8x RetransmitTimeout.
 	RetransmitTimeout time.Duration
 	// TimestampBase seeds the client's monotonically increasing request
 	// timestamps. Short-lived client processes reusing one identity must
@@ -51,12 +53,16 @@ type ClientStats struct {
 	Rejected    int64 // replies that failed authentication or matching
 }
 
-// replyVote is one replica's (latest) opinion about the pending request.
+// replyVote is one replica's (latest) opinion about the pending request,
+// and the latest full result it sent, already checked against its digest.
 type replyVote struct {
 	voted     bool
 	resultD   crypto.Digest
 	tentative bool
 	view      int64
+	full      bool
+	bodyD     crypto.Digest
+	body      []byte
 }
 
 // voteTally counts the votes for one result digest.
@@ -74,8 +80,6 @@ type pendingOp struct {
 	asRW      bool // read-only op retried through the read-write path
 	timestamp int64
 	replier   int32
-	votes     []replyVote              // indexed by replica
-	fullBody  map[crypto.Digest][]byte // verified full results by digest
 	timeout   time.Duration
 	retries   int
 	sentAt    time.Duration
@@ -104,24 +108,37 @@ type Client struct {
 	// burst does not retransmit in a synchronized wave forever.
 	jitterState uint64
 
-	// srtt is a smoothed estimate of operation latency. The retransmission
-	// timeout adapts to it (never below the configured floor): with a
-	// fixed timeout, any load level whose queueing delay exceeds the
-	// timeout makes every client duplicate every request, which sustains
-	// the overload — congestion collapse.
+	// srtt is a smoothed estimate of operation latency (0 until the first
+	// sample). Once measured, the first attempt's timeout is 4·srtt, but
+	// no less than RetransmitTimeout/8: the configured value is not a
+	// floor, so a lost request or a dead primary costs a few round trips,
+	// not a fixed 150 ms. The 4·srtt guard keeps the timer above the
+	// queueing delay: with a fixed timeout, any load level whose queueing
+	// delay exceeds it makes every client duplicate every request, which
+	// sustains the overload — congestion collapse.
 	srtt time.Duration
+
+	// suspect marks replicas that were designated repliers of a request
+	// whose timer fired before they voted; the replier rotation skips them
+	// until their next authenticated reply. Without it, with one replica
+	// down, every request designating it waits out a timeout for its full
+	// result.
+	suspect []bool
 
 	// Hot-path scratch state (the engine is single-threaded): the two
 	// encoders (contentEnc's bytes are hashed or MAC'd, never sent;
 	// wireEnc's are cloned once for Env.Send), the cached all-replicas
-	// destination slice, a reusable request authenticator, a decode-into
-	// reply, and checkCertificate's per-digest tally (filled in replica
-	// order).
+	// destination slice, a reusable request and its authenticator, a
+	// decode-into reply, the pending request's votes (indexed by replica,
+	// cleared per operation), and checkCertificate's per-digest tally
+	// (filled in replica order).
 	contentEnc   message.Encoder
 	wireEnc      message.Encoder
 	all          []int
+	reqScratch   message.Request
 	authScratch  crypto.Authenticator
 	replyScratch message.Reply
+	votes        []replyVote
 	tallies      []voteTally
 
 	rec   *obs.Recorder // nil disables tracing
@@ -179,6 +196,8 @@ func NewClient(cfg ClientConfig, keys *crypto.KeyTable, meter crypto.Meter) (*Cl
 		ts:          cfg.TimestampBase,
 		jitterState: uint64(cfg.Self)*0x9e3779b97f4a7c15 + 1,
 		all:         all,
+		suspect:     make([]bool, cfg.N),
+		votes:       make([]replyVote, cfg.N),
 		rec:         cfg.Trace,
 	}, nil
 }
@@ -215,17 +234,21 @@ func (c *Client) Submit(op []byte, readOnly bool, done func(result []byte)) {
 func (c *Client) begin(p *pendingOp) {
 	c.ts++
 	p.timestamp = c.ts
-	p.votes = make([]replyVote, c.cfg.N)
-	p.fullBody = make(map[crypto.Digest][]byte)
+	clear(c.votes)
 	p.timeout = c.cfg.RetransmitTimeout
-	if adaptive := 4 * c.srtt; adaptive > p.timeout {
-		p.timeout = adaptive
+	if c.srtt > 0 {
+		p.timeout = max(4*c.srtt, c.cfg.RetransmitTimeout/8)
 	}
 	p.sentAt = c.env.Now()
 	p.replier = message.AllReplicas
 	if c.cfg.Opts.DigestReplies {
-		// Rotate the designated full-replier for load balancing.
-		p.replier = int32(c.ts % int64(c.cfg.N))
+		// Rotate the designated full-replier for load balancing, past
+		// suspects (all suspect: the rotation's own pick).
+		r := int(c.ts % int64(c.cfg.N))
+		for i := 0; i < c.cfg.N && c.suspect[r]; i++ {
+			r = (r + 1) % c.cfg.N
+		}
+		p.replier = int32(r)
 	}
 	// Traced before the MAC/marshal work so the span's request phase
 	// includes the client-side send cost (Env.Now advances with charges).
@@ -237,7 +260,8 @@ func (c *Client) begin(p *pendingOp) {
 // transmit sends (or resends) the pending request. Retransmissions demand
 // full replies from every replica and go to the whole group.
 func (c *Client) transmit(p *pendingOp, retransmit bool) {
-	req := &message.Request{
+	req := &c.reqScratch
+	*req = message.Request{
 		Client:    int32(c.cfg.Self),
 		Timestamp: p.timestamp,
 		ReadOnly:  p.readOnly && !p.asRW && c.cfg.Opts.ReadOnly,
@@ -307,6 +331,8 @@ func (c *Client) onReply(rep *message.Reply) {
 		c.stats.Rejected++
 		return
 	}
+	v := &c.votes[sender]
+	newBody := false
 	if rep.Full {
 		// Validate the full body against its digest once; a lying replier
 		// cannot make a forged body match the group's digest votes.
@@ -314,13 +340,19 @@ func (c *Client) onReply(rep *message.Reply) {
 			c.stats.Rejected++
 			return
 		}
-		p.fullBody[rep.ResultD] = rep.Result
+		newBody = !v.full || v.bodyD != rep.ResultD
+		v.full, v.bodyD, v.body = true, rep.ResultD, rep.Result
 	}
-	prev := p.votes[sender]
-	if prev.voted && prev.resultD == rep.ResultD && !prev.tentative {
+	c.suspect[sender] = false
+	switch {
+	case !v.voted || v.resultD != rep.ResultD || v.tentative:
+		v.voted, v.resultD, v.tentative, v.view = true, rep.ResultD, rep.Tentative, rep.View
+	case !newBody:
 		return // nothing new
 	}
-	p.votes[sender] = replyVote{voted: true, resultD: rep.ResultD, tentative: rep.Tentative, view: rep.View}
+	// A body can complete a certificate its sender's earlier digest-only
+	// vote already counted in: a dead replier's result arriving from a
+	// replica answering the retransmission.
 	c.checkCertificate(p)
 }
 
@@ -330,7 +362,8 @@ func (c *Client) onReply(rep *message.Reply) {
 func (c *Client) checkCertificate(p *pendingOp) {
 	f := (c.cfg.N - 1) / 3
 	c.tallies = c.tallies[:0]
-	for _, v := range p.votes {
+	for i := range c.votes {
+		v := &c.votes[i]
 		if !v.voted {
 			continue
 		}
@@ -357,7 +390,7 @@ func (c *Client) checkCertificate(p *pendingOp) {
 		if !ok {
 			continue
 		}
-		body, have := p.fullBody[t.resultD]
+		body, have := c.fullBody(t.resultD)
 		if !have {
 			continue // certificate ready but full result still in flight
 		}
@@ -389,6 +422,17 @@ func (c *Client) checkCertificate(p *pendingOp) {
 	}
 }
 
+// fullBody returns a verified full result with digest d, looking through
+// the pending request's votes in replica order.
+func (c *Client) fullBody(d crypto.Digest) ([]byte, bool) {
+	for i := range c.votes {
+		if v := &c.votes[i]; v.full && v.bodyD == d {
+			return v.body, true
+		}
+	}
+	return nil, false
+}
+
 // OnTimer implements proc.Handler: retransmission with exponential backoff;
 // a timed-out read-only request is reissued through the read-write path
 // (the paper's fallback for reads racing concurrent writes).
@@ -399,13 +443,15 @@ func (c *Client) OnTimer(key int) {
 	p := c.cur
 	c.stats.Retransmits++
 	p.retries++
+	if p.replier != message.AllReplicas && !c.votes[p.replier].voted {
+		c.suspect[p.replier] = true
+	}
 	if p.readOnly && !p.asRW && c.cfg.Opts.ReadOnly {
 		// Fall back to the ordered path with a fresh timestamp.
 		p.asRW = true
 		c.ts++
 		p.timestamp = c.ts
-		clear(p.votes)
-		p.fullBody = make(map[crypto.Digest][]byte)
+		clear(c.votes)
 	}
 	c.transmit(p, true)
 	c.trace(obs.EvClientResend, p.timestamp)

@@ -334,3 +334,241 @@ func TestClientQueueRunsInOrder(t *testing.T) {
 		t.Fatalf("%d ops completed, want 3", len(order))
 	}
 }
+
+// completeAfter runs one operation through the harness whose replies
+// arrive latency after its request (replica 0's full reply and replica 1's
+// digest, both committed) and returns the timeout its first attempt had.
+// A zero latency leaves srtt alone: the client keeps only positive samples.
+func (h *clientHarness) completeAfter(latency time.Duration) time.Duration {
+	h.t.Helper()
+	done := false
+	h.client.Submit([]byte("op"), false, func([]byte) { done = true })
+	p := h.client.cur
+	h.c.advance(latency)
+	h.reply(0, p.timestamp, []byte("R"), false, true)
+	h.reply(1, p.timestamp, []byte("R"), false, false)
+	if !done {
+		h.t.Fatalf("op %d did not complete", p.timestamp)
+	}
+	return p.timeout
+}
+
+func TestClientTimeoutFloor(t *testing.T) {
+	const rto = 100 * time.Millisecond // the harness's RetransmitTimeout
+
+	h := newClientHarness(t, AllOptimizations())
+	if got := h.completeAfter(0); got != rto {
+		t.Fatalf("timeout before any sample = %v, want RetransmitTimeout %v", got, rto)
+	}
+	for i := 0; i < 3; i++ {
+		h.completeAfter(time.Millisecond)
+	}
+	if got := h.completeAfter(0); got != rto/8 {
+		t.Fatalf("timeout after 1 ms samples = %v, want RetransmitTimeout/8 = %v", got, rto/8)
+	}
+
+	h = newClientHarness(t, AllOptimizations())
+	for i := 0; i < 3; i++ {
+		h.completeAfter(200 * time.Millisecond)
+	}
+	if got := h.completeAfter(0); h.client.srtt != 200*time.Millisecond || got != 4*h.client.srtt {
+		t.Fatalf("timeout after 200 ms samples = %v (srtt %v), want 4·srtt = 800ms", got, h.client.srtt)
+	}
+}
+
+func TestClientSkipsDeadReplier(t *testing.T) {
+	clients := []int{100, 101}
+	g := buildGroup(t, 4, clients, nil)
+	const dead = 3 // a backup: the group keeps its view
+	crashed := false
+	g.c.drop = func(src, dst int, data []byte) bool {
+		return crashed && (src == dead || dst == dead)
+	}
+	// After its first retransmission a client must never designate the
+	// dead replica again.
+	designated := make(map[int]int)
+	g.c.sent = func(src, dst int, data []byte) {
+		if src < g.n || g.clients[src].Stats().Retransmits == 0 || message.Type(data[0]) != message.TypeRequest {
+			return
+		}
+		m, err := message.Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.(*message.Request).Replier == dead {
+			designated[src]++
+		}
+	}
+	g.c.start()
+	for _, id := range clients {
+		g.invoke(id, opAppend("k", "x"), false)
+	}
+	crashed = true
+	for i := 0; i < 12; i++ {
+		for _, id := range clients {
+			g.invoke(id, opAppend("k", "y"), false)
+		}
+	}
+	for _, id := range clients {
+		cl := g.clients[id]
+		if got := cl.Stats().Retransmits; got != 1 {
+			t.Errorf("client %d retransmitted %d times with replica %d down, want 1", id, got, dead)
+		}
+		if designated[id] != 0 {
+			t.Errorf("client %d designated dead replica %d %d times after its timeout", id, dead, designated[id])
+		}
+		if !cl.suspect[dead] {
+			t.Errorf("client %d does not suspect replica %d", id, dead)
+		}
+	}
+
+	// The next authenticated reply from a suspect that counts toward a
+	// request clears it, and the rotation designates it again.
+	h := newClientHarness(t, AllOptimizations())
+	h.client.Submit([]byte("op"), false, func([]byte) {})
+	h.c.pump()
+	first := int(h.client.cur.replier)
+	h.c.advance(150 * time.Millisecond) // past the first timeout
+	if !h.client.suspect[first] {
+		t.Fatalf("replica %d designated, silent past the timeout, not suspect", first)
+	}
+	h.reply((first+1)%h.n, 1, []byte("R"), false, true)
+	h.reply((first+2)%h.n, 1, []byte("R"), false, false)
+	for ts := int64(2); ts <= int64(2*h.n); ts++ {
+		h.client.Submit([]byte("op"), false, func([]byte) {})
+		if r := int(h.client.cur.replier); r == first {
+			t.Fatalf("op %d designates suspect replica %d", ts, r)
+		}
+		h.reply((first+1)%h.n, ts, []byte("R"), false, true)
+		h.reply((first+2)%h.n, ts, []byte("R"), false, true)
+	}
+	h.client.Submit([]byte("op"), false, func([]byte) {})
+	ts := h.client.cur.timestamp
+	forged := &message.Reply{Timestamp: ts, Client: 100, Replica: int32(first), ResultD: crypto.Hash([]byte("R"))}
+	forged.MAC, _ = crypto.NewSuite(h.tables[(first+1)%h.n], nil).MAC(100, forged.AuthContent(new(message.Encoder)))
+	h.client.Receive(message.Marshal(new(message.Encoder), forged))
+	if !h.client.suspect[first] {
+		t.Fatalf("a reply forged in replica %d's name cleared it", first)
+	}
+	h.reply(first, ts, []byte("R"), false, false) // authenticated digest reply
+	if h.client.suspect[first] {
+		t.Fatalf("replica %d still suspect after an authenticated reply", first)
+	}
+	h.reply((first+1)%h.n, ts, []byte("R"), false, true)
+	designatedAgain := false
+	for i := 0; i < h.n; i++ {
+		h.client.Submit([]byte("op"), false, func([]byte) {})
+		ts := h.client.cur.timestamp
+		designatedAgain = designatedAgain || int(h.client.cur.replier) == first
+		h.reply((first+1)%h.n, ts, []byte("R"), false, true)
+		h.reply((first+2)%h.n, ts, []byte("R"), false, true)
+	}
+	if !designatedAgain {
+		t.Fatalf("cleared replica %d never designated again", first)
+	}
+}
+
+func TestClientBodyAfterDigestVoteCompletes(t *testing.T) {
+	// The designated replier is dead; the other three replicas' committed
+	// digest replies make a certificate with no body. Their full replies to
+	// the retransmission are no new vote, but must complete the operation.
+	h := newClientHarness(t, AllOptimizations())
+	var got []byte
+	h.client.Submit([]byte("op"), false, func(res []byte) { got = res })
+	h.c.pump()
+	replier := int(h.client.cur.replier)
+	for i := 1; i < h.n; i++ {
+		h.reply((replier+i)%h.n, 1, []byte("R"), false, false)
+	}
+	h.c.advance(150 * time.Millisecond)
+	if got != nil || h.client.Stats().Retransmits != 1 {
+		t.Fatalf("result %q, %d retransmits; want none yet and one", got, h.client.Stats().Retransmits)
+	}
+	h.reply((replier+1)%h.n, 1, []byte("R"), false, true)
+	if string(got) != "R" {
+		t.Fatalf("result = %q after a full reply to the retransmission", got)
+	}
+}
+
+func TestPrimaryCrashOutageBound(t *testing.T) {
+	const vct = 500 * time.Millisecond
+	clients := []int{100, 101}
+	g := buildGroup(t, 4, clients, func(c *Config) { c.ViewChangeTimeout = vct })
+	dead := -1
+	g.c.drop = func(src, dst int, data []byte) bool { return src == dead || dst == dead }
+	g.c.start()
+	// Warm up every client with operations that take 1 ms, so each has a
+	// latency sample (the testbed's deliveries take no virtual time).
+	for i := 0; i < 3; i++ {
+		for _, id := range clients {
+			done := 0
+			g.invokeAsync(id, opAppend("k", "w"), false, &done)
+			g.c.now += time.Millisecond
+			g.c.pump()
+			if done != 1 {
+				t.Fatalf("warm-up op of client %d did not complete", id)
+			}
+		}
+	}
+
+	dead = g.replicas[0].cfg.PrimaryOf(g.replicas[0].View())
+	crashAt := g.c.now
+	var firstDone time.Duration
+	for _, id := range clients {
+		g.clients[id].Submit(opAppend("k", "after"), false, func([]byte) {
+			if firstDone == 0 {
+				firstDone = g.c.now
+			}
+		})
+	}
+	g.c.run(func() bool { return firstDone != 0 }, 5*time.Second, "first completion after the crash")
+	rto := g.clients[clients[0]].cfg.RetransmitTimeout
+	bound := vct + 5*rto/32 + 50*time.Millisecond // VCT + 1.25·RTO/8 + 50 ms
+	if outage := firstDone - crashAt; outage > bound {
+		t.Fatalf("primary %d crash to first completion = %v, want <= %v", dead, outage, bound)
+	} else {
+		t.Logf("primary %d crash to first completion = %v (bound %v)", dead, outage, bound)
+	}
+}
+
+// TestClientOperationAllocs counts the allocations of one completed
+// operation: Submit, then a full and a digest reply.
+func TestClientOperationAllocs(t *testing.T) {
+	h := newClientHarness(t, AllOptimizations())
+	h.c.drop = func(int, int, []byte) bool { return true } // the harness copies what it delivers
+	const runs = 50
+	// Pre-built replies: replica 0 full and replica 1 digest-only, both
+	// committed, for every timestamp the measured operations take.
+	replies := make([][2][]byte, runs+2)
+	for ts := range replies {
+		for i := range replies[ts] {
+			rep := &message.Reply{Timestamp: int64(ts), Client: 100, Replica: int32(i),
+				Full: i == 0, ResultD: crypto.Hash([]byte("R"))}
+			if rep.Full {
+				rep.Result = []byte("R")
+			}
+			suite := crypto.NewSuite(h.tables[i], nil)
+			rep.MAC, _ = suite.MAC(100, rep.AuthContent(new(message.Encoder)))
+			replies[ts][i] = message.Marshal(new(message.Encoder), rep)
+		}
+	}
+	completed := 0
+	done := func([]byte) { completed++ }
+	op := []byte("op")
+	allocs := testing.AllocsPerRun(runs, func() {
+		h.client.Submit(op, false, done)
+		ts := h.client.cur.timestamp
+		h.client.Receive(replies[ts][0])
+		h.client.Receive(replies[ts][1])
+	})
+	if completed != runs+1 {
+		t.Fatalf("%d of %d operations completed", completed, runs+1)
+	}
+	// What is left: the pendingOp, the marshalled request Env.Send keeps,
+	// and the harness's timer record. Before the votes and full bodies were
+	// reused and the request encoded from a scratch value this was 7 (a
+	// votes slice, a full-body map and its bucket, the request).
+	if allocs > 3 {
+		t.Fatalf("%v allocations per completed operation, want <= 3", allocs)
+	}
+}
