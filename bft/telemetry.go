@@ -85,21 +85,12 @@ func (r *Replica) statusz() (telemetry.Status, error) {
 		st.View = r.engine.View()
 		st.LastExecuted = r.engine.LastExecuted()
 		st.LastStable = r.engine.LastStable()
-		st.Instances = r.engine.Instances()
-		for inst := 0; inst < st.Instances; inst++ {
-			if r.engine.LeadsInstance(inst) {
-				st.LeaderOf = append(st.LeaderOf, inst)
-			}
-		}
 		st.CheckpointsRetained, st.CheckpointsMaterialized = r.engine.Checkpoints()
 		st.Commits = r.engine.Stats().Commits
 		heard = r.engine.PeerHeard(nil)
 	})
 	if err != nil {
 		return st, err
-	}
-	if st.LeaderOf == nil {
-		st.LeaderOf = []int{}
 	}
 	now := r.node.Uptime()
 	st.UptimeSeconds = now.Seconds()

@@ -378,27 +378,6 @@ func scriptFor(j int) []scriptOp {
 // clients, and a post-run linearizability + state-digest audit.
 func safetyRun(b adversary.Behavior, seed int64) SafetyReport {
 	sc, faulty := scenarioFor(b, safetyReplicas, seed)
-	return safetyRunScenario(sc, faulty, seed, 1)
-}
-
-// ParallelLeaderSafety runs the safety rig with g > 1 ordering instances and
-// pre-prepare equivocation installed at replica 1 — the leader of ordering
-// instance 1 in view 0, NOT the view primary. It checks that a Byzantine
-// instance leader cannot break linearizability or replica agreement, and
-// that the group keeps the scripted clients live (the view change that
-// deposes it reassigns every instance's slice to fresh leaders).
-func ParallelLeaderSafety(seed int64, g int) SafetyReport {
-	sc := &adversary.Scenario{
-		Seed:   seed,
-		Faulty: map[int]Config{1: {Behavior: adversary.EquivocatePrimary}},
-	}
-	return safetyRunScenario(sc, 1, seed, g)
-}
-
-// safetyRunScenario is the shared safety rig: the scenario's faulty replica
-// attacks a key-value cluster running `instances` parallel ordering
-// instances (1 = the single-leader baseline).
-func safetyRunScenario(sc *adversary.Scenario, faulty int, seed int64, instances int) SafetyReport {
 	s := sim.New(sim.DefaultCostModel(), seed)
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec // deterministic simulation
 
@@ -421,7 +400,6 @@ func safetyRunScenario(sc *adversary.Scenario, faulty int, seed int64, instances
 			cfg.CheckpointSnapshots = true
 			cfg.ViewChangeTimeout = 300 * time.Millisecond
 			cfg.StatusInterval = 50 * time.Millisecond
-			cfg.Instances = instances
 			cfg.Opts.PiggybackCommits = sc.Faulty[faulty].Behavior.Piggybacked()
 			services[i] = kvservice.New()
 			rep, err := core.NewReplica(cfg, services[i], tables[i], m, nil)
@@ -447,7 +425,6 @@ func safetyRunScenario(sc *adversary.Scenario, faulty int, seed int64, instances
 				Self:              n + j,
 				Opts:              core.AllOptimizations(),
 				InlineThreshold:   core.DefaultConfig(n, 0).InlineThreshold,
-				Instances:         instances,
 				RetransmitTimeout: 150 * time.Millisecond,
 			}
 			cl, err := core.NewClient(cfg, tables[n+j], m)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -62,37 +61,6 @@ func TestSafetyRunPerBehavior(t *testing.T) {
 			}
 			if rep.Agreeing < 2 {
 				t.Fatalf("seed=%d: only %d correct replicas agree at frontier %d", seed, rep.Agreeing, rep.Frontier)
-			}
-		})
-	}
-}
-
-// TestParallelLeaderByzantineInstance installs pre-prepare equivocation at
-// replica 1 — the leader of ordering instance 1 in view 0 when the group
-// runs g parallel ordering instances — and asserts the safety rig's full
-// audit: linearizable histories, agreeing correct replicas, and scripted
-// clients completing despite the view change that deposes the faulty
-// instance leader.
-func TestParallelLeaderByzantineInstance(t *testing.T) {
-	seed := campaignSeed(t)
-	for _, g := range []int{2, 4} {
-		g := g
-		t.Run(fmt.Sprintf("g=%d", g), func(t *testing.T) {
-			rep := ParallelLeaderSafety(seed, g)
-			t.Logf("seed=%d g=%d ops=%d frontier=%d agreeing=%d attacks=%+v",
-				seed, g, rep.Ops, rep.Frontier, rep.Agreeing, rep.Attacks)
-			if rep.Attacks.Equivocations == 0 {
-				t.Fatalf("seed=%d: instance leader never equivocated: %+v", seed, rep.Attacks)
-			}
-			if rep.Violation != "" {
-				t.Fatalf("seed=%d: safety violated: %s", seed, rep.Violation)
-			}
-			if !rep.Completed {
-				t.Fatalf("seed=%d: scripted clients did not complete", seed)
-			}
-			if rep.Agreeing < 2 {
-				t.Fatalf("seed=%d: only %d correct replicas agree at frontier %d",
-					seed, rep.Agreeing, rep.Frontier)
 			}
 		})
 	}

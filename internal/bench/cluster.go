@@ -139,11 +139,6 @@ type MicroParams struct {
 	InlineThreshold    int
 	RetransmitFloor    time.Duration
 
-	// Instances is g, the number of parallel ordering instances
-	// (core.Config.Instances; 0 or 1 runs the paper's single-leader
-	// protocol). Replicas and clients are configured consistently.
-	Instances int
-
 	// WrapReplica, when set, wraps each replica engine at the node boundary
 	// before it is installed in the simulator — the Byzantine-adversary
 	// hook (internal/adversary's Scenario.WrapReplica matches this
@@ -273,7 +268,6 @@ func RunMicro(p MicroParams) MicroResult {
 				if p.InlineThreshold > 0 {
 					cfg.InlineThreshold = p.InlineThreshold
 				}
-				cfg.Instances = p.Instances
 				// The paper's runs had no view changes: suspicion timeouts
 				// were generous relative to retransmission, so saturation
 				// drops heal by resending instead of deposing the primary.
@@ -310,7 +304,6 @@ func RunMicro(p MicroParams) MicroResult {
 					Self:              n + c,
 					Opts:              p.Opts,
 					InlineThreshold:   threshold,
-					Instances:         p.Instances,
 					RetransmitTimeout: retransmit,
 					Trace:             newRec(n + c),
 				}

@@ -26,11 +26,6 @@ type ClientConfig struct {
 	Opts Options
 	// InlineThreshold must match the replicas' configuration.
 	InlineThreshold int
-	// Instances must match the replicas' Config.Instances (parallel-leader
-	// ordering): the client sends each request to the leader of the
-	// instance its content digest hashes to. 0 or 1 is the single-leader
-	// protocol.
-	Instances int
 	// RetransmitTimeout is the first attempt's retransmission timeout until
 	// the client has measured an operation's latency; after that the first
 	// attempt waits max(4·srtt, RetransmitTimeout/8). Each retry doubles
@@ -287,24 +282,13 @@ func (c *Client) transmit(p *pendingOp, retransmit bool) {
 		// only its digest.
 		c.env.Multicast(c.all, raw)
 	default:
-		c.env.Send(c.leaderFor(d), raw)
+		c.env.Send(c.primary(), raw)
 	}
 }
 
 // primary is the client's current primary guess from the views reported in
 // accepted replies.
 func (c *Client) primary() int { return int(c.view % int64(c.cfg.N)) }
-
-// leaderFor returns the replica a request should be sent to: under
-// parallel-leader ordering, the leader of the instance the request's
-// content digest hashes to; otherwise the primary.
-func (c *Client) leaderFor(d crypto.Digest) int {
-	g := c.cfg.Instances
-	if g <= 1 {
-		return c.primary()
-	}
-	return int((c.view + int64(instanceForDigest(d, g))) % int64(c.cfg.N))
-}
 
 // Receive implements proc.Handler. Replies — the only message a client
 // accepts — decode into a reused scratch value; the retained Result bytes

@@ -112,16 +112,6 @@ type Config struct {
 	// (h, h+L] where h is the last stable checkpoint.
 	LogWindow int64
 
-	// Instances is g, the number of concurrent ordering instances
-	// (parallel-leader ordering; see instance.go and PROTOCOL.md).
-	// Instance i is led by replica (view+i) mod N and owns the sequence
-	// numbers congruent to i+1 modulo g; requests are assigned to
-	// instances by content-digest hashing. 0 or 1 selects the paper's
-	// single-leader protocol, bit-identically to an engine built before
-	// this extension existed. Must not exceed N so each replica leads at
-	// most one instance.
-	Instances int
-
 	// CheckpointSnapshots retains the state at each checkpoint so the
 	// replica can serve state transfer and roll back tentative execution
 	// across view changes. What that costs depends on the service: a
@@ -194,8 +184,6 @@ func (c *Config) Validate() error {
 		return errors.New("core: batch bounds must be positive")
 	case c.ViewChangeTimeout <= 0:
 		return errors.New("core: ViewChangeTimeout must be positive")
-	case c.Instances < 0 || c.Instances > c.N:
-		return fmt.Errorf("core: Instances = %d out of range [0, N=%d]", c.Instances, c.N)
 	}
 	return nil
 }

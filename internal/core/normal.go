@@ -64,19 +64,17 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 	if r.inViewChange {
 		return
 	}
-	leader := r.cfg.LeaderOf(r.view, instanceForDigest(d, r.cfg.groups()))
-	if leader == r.cfg.Self {
+	if primary := r.cfg.PrimaryOf(r.view); primary == r.cfg.Self {
 		r.queue = append(r.queue, d)
 		r.trySendBatches()
 	} else if !buf.relayed && !r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
-		// A small request reaching a non-leader means the client missed
-		// the request's instance leader (stale view, or a retransmission):
-		// relay it. Large separately-transmitted bodies were multicast to
-		// the whole group, so the leader already has them — relaying those
-		// would burn the leader's inbound bandwidth (it is the 4/0
-		// bottleneck).
+		// A small request reaching a backup means the client missed the
+		// primary (stale view, or a retransmission): relay it. Large
+		// separately-transmitted bodies were multicast to the whole group,
+		// so the primary already has them — relaying those would burn the
+		// primary's inbound bandwidth (it is the 4/0 bottleneck).
 		buf.relayed = true
-		r.env.Send(leader, raw)
+		r.env.Send(primary, raw)
 	}
 	r.syncVCTimer(false)
 }
@@ -128,7 +126,7 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 		r.resolveUnknownBatch(s, pp)
 		return
 	}
-	if r.inViewChange || pp.View != r.view || r.leadsSeq(pp.Seq) || !r.inWindow(pp.Seq) {
+	if r.inViewChange || pp.View != r.view || r.isPrimary() || !r.inWindow(pp.Seq) {
 		return
 	}
 	s := r.getSlot(pp.Seq)
@@ -158,7 +156,7 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	}
 	batch := message.BatchDigest(r.suite, &r.contentEnc, reqDigests)
 	content := message.OrderContentWithCommits(&r.contentEnc, pp.View, pp.Seq, batch, pp.Commits)
-	primary := r.leaderOfSeq(pp.View, pp.Seq)
+	primary := r.cfg.PrimaryOf(pp.View)
 	if !r.suite.VerifyAuth(primary, pp.Auth, content) {
 		r.stats.DroppedMessages++
 		return
@@ -199,8 +197,6 @@ func (r *Replica) onPrePrepare(pp *message.PrePrepare) {
 	if s.missing > 0 {
 		r.armBodyFetch()
 	}
-	// Another instance advancing may open a gap in our own slice.
-	r.fillInstanceGaps(r.ownInstance())
 	r.syncVCTimer(false)
 }
 
@@ -232,7 +228,7 @@ func (r *Replica) refBody(ref message.RequestRef) (*message.Request, crypto.Dige
 // onSlotResolved fires once a slot has its pre-prepare and all bodies:
 // the backup multicasts its prepare and the ordering pipeline advances.
 func (r *Replica) onSlotResolved(s *slot) {
-	if !s.sentPrepare && !r.leadsSeq(s.seq) {
+	if !s.sentPrepare && !r.isPrimary() {
 		s.sentPrepare = true
 		r.broadcast(r.buildPrepare(s, r.takePiggybackCommits()))
 		s.addPrepare(s.batchDigest, int32(r.cfg.Self))
@@ -269,14 +265,13 @@ func (r *Replica) onPrepare(p *message.Prepare) {
 
 // admitPrepare applies the cheap admissibility checks that precede
 // verification: current view, in-window sequence, and a plausible sender
-// (a backup other than this replica — the slot's instance leader never
-// sends prepares for its own slice).
+// (a backup other than this replica — the primary never sends prepares).
 func (r *Replica) admitPrepare(p *message.Prepare) bool {
 	if r.inViewChange || p.View != r.view || !r.inWindow(p.Seq) {
 		return false
 	}
 	sender := int(p.Replica)
-	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self || sender == r.leaderOfSeq(p.View, p.Seq) {
+	if sender < 0 || sender >= r.cfg.N || sender == r.cfg.Self || sender == r.cfg.PrimaryOf(p.View) {
 		r.stats.DroppedMessages++
 		return false
 	}
@@ -385,7 +380,7 @@ func (r *Replica) dropPendingCommits() {
 // state says someone is waiting for them: (a) a read-only reply is held
 // behind the commit frontier; (b) a held commit's slot already has another
 // replica's commit — the batch's commits are flowing and this replica
-// missed the carrier; (c) this replica leads an instance and trySendBatches
+// missed the carrier; (c) this replica is the primary and trySendBatches
 // left requests queued — its next carrier is blocked on the commits it
 // holds. It only advances a send the fallback timer would have made.
 func (r *Replica) settleCommits() {
@@ -400,7 +395,7 @@ func (r *Replica) settleCommits() {
 		r.holdCommitsAfter = (r.lastExec/r.cfg.CheckpointInterval + 1) * r.cfg.CheckpointInterval
 	case r.peerCommitSeen():
 		r.stats.Commits.FlushPeerCommit++
-	case len(r.queue) > 0 && r.ownInstance() >= 0:
+	case len(r.queue) > 0 && r.isPrimary():
 		r.stats.Commits.FlushWindow++
 	default:
 		return
@@ -429,14 +424,13 @@ func (r *Replica) flushPiggybackCommits() {
 	r.dropPendingCommits()
 }
 
-// trySendBatches lets an instance leader assign its slice's sequence
-// numbers to queued requests, one batch per ordering round, within the
-// sliding window: with e the last executed batch and W the window, the
-// leader holds new batches once its next seq would exceed e + W (the
-// paper's batching rule, applied per instance).
+// trySendBatches lets the primary assign sequence numbers to queued
+// requests, one batch per ordering round, within the sliding window: with
+// e the last executed batch and W the window, the primary holds new
+// batches once its next seq would exceed e + W (the paper's batching
+// rule).
 func (r *Replica) trySendBatches() {
-	inst := r.ownInstance()
-	if inst < 0 || r.inViewChange {
+	if !r.isPrimary() || r.inViewChange {
 		return
 	}
 	window := r.cfg.Window
@@ -445,9 +439,8 @@ func (r *Replica) trySendBatches() {
 		// immediately; parallelism is bounded only by the log window.
 		window = r.cfg.LogWindow / 2
 	}
-	stride := int64(r.cfg.groups())
 	for len(r.queue) > 0 {
-		next := r.instPP[inst] + stride
+		next := r.lastPP + 1
 		if next > r.lastExec+window || next > r.lastStable+r.cfg.LogWindow {
 			break
 		}
@@ -457,7 +450,6 @@ func (r *Replica) trySendBatches() {
 		}
 		r.sendPrePrepare(batch)
 	}
-	r.fillInstanceGaps(inst)
 }
 
 // nextBatch pops requests off the queue up to the batch bounds, skipping
@@ -499,16 +491,12 @@ func (r *Replica) nextBatch() []*bufferedRequest {
 	return out
 }
 
-// sendPrePrepare assigns the next sequence number of this replica's
-// instance to a batch and multicasts the pre-prepare. Small requests are
-// inlined; large ones ride as digests when separate request transmission
-// is on. A nil batch orders an empty gap-filling batch (see
-// fillInstanceGaps); it flows through the ordinary three-phase protocol
-// and executes as a no-op.
+// sendPrePrepare assigns the next sequence number to a batch and
+// multicasts the pre-prepare. Small requests are inlined; large ones ride
+// as digests when separate request transmission is on.
 func (r *Replica) sendPrePrepare(batch []*bufferedRequest) {
-	inst := r.ownInstance()
-	r.instPP[inst] += int64(r.cfg.groups())
-	seq := r.instPP[inst]
+	r.lastPP++
+	seq := r.lastPP
 	if seq > r.maxKnownPP {
 		r.maxKnownPP = seq
 	}

@@ -75,7 +75,6 @@ func TestPhaseHistogramsMatchEvents(t *testing.T) {
 	}{
 		{"paper", func(*Config) {}},
 		{"piggyback", func(c *Config) { c.Opts.PiggybackCommits = true }},
-		{"instances=2", func(c *Config) { c.Instances = 2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n, nClients, opsEach = 4, 4, 25
@@ -111,7 +110,7 @@ func TestPhaseHistogramsMatchEvents(t *testing.T) {
 				s.AddMeteredNode(func(m crypto.Meter) proc.Handler {
 					cl, err := NewClient(ClientConfig{
 						N: n, Self: n + c, Opts: opts.Opts, InlineThreshold: opts.InlineThreshold,
-						Instances: opts.Instances, RetransmitTimeout: 500 * time.Millisecond,
+						RetransmitTimeout: 500 * time.Millisecond,
 					}, tables[n+c], m)
 					if err != nil {
 						t.Fatal(err)

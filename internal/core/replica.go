@@ -67,13 +67,10 @@ type Replica struct {
 	vcTimerArmed  bool
 	statusStarted bool
 
-	// instPP[i] is the last sequence number assigned by ordering
-	// instance i (meaningful on its leader; reset group-wide at view
-	// changes). With Instances <= 1 it is a one-element slice holding the
-	// classic primary counter lastPP. maxKnownPP tracks the highest
-	// pre-prepare seq seen anywhere, which drives cross-instance gap
-	// filling (see instance.go).
-	instPP            []int64
+	// lastPP is the last sequence number the primary assigned (meaningful
+	// on the primary; reset at view changes). maxKnownPP is the highest
+	// pre-prepare seq seen, which bounds requestWaiting's probe.
+	lastPP            int64
 	maxKnownPP        int64
 	lastExec          int64 // last executed batch (tentative included)
 	lastCommittedExec int64
@@ -206,12 +203,6 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 			peers = append(peers, i)
 		}
 	}
-	// Instance i's first owned seq is i+1, so its counter starts one
-	// stride below that; at g = 1 this is the classic lastPP = 0.
-	instPP := make([]int64, cfg.groups())
-	for i := range instPP {
-		instPP[i] = int64(i+1) - int64(len(instPP))
-	}
 	cp, native := sm.(Checkpointer)
 	if !native {
 		cp = &wholeState{sm: sm, snaps: make(map[int64][]byte)}
@@ -225,7 +216,6 @@ func NewReplica(cfg Config, sm StateMachine, keys *crypto.KeyTable, meter crypto
 		// Bootstrap provisioning installs keys at epoch 1; rotations must
 		// supersede it.
 		epoch:       1,
-		instPP:      instPP,
 		vcTimeout:   cfg.ViewChangeTimeout,
 		log:         make(map[int64]*slot),
 		missingBody: make(map[crypto.Digest][]int64),
@@ -286,14 +276,9 @@ func (r *Replica) LastExecuted() int64 { return r.lastExec }
 // LastStable returns the replica's stable checkpoint sequence number.
 func (r *Replica) LastStable() int64 { return r.lastStable }
 
-// Instances returns the number of ordering instances g (never below 1).
-func (r *Replica) Instances() int { return r.cfg.groups() }
-
-// LeadsInstance reports whether this replica leads ordering instance inst
-// in its current view (see Config.LeaderOf).
-func (r *Replica) LeadsInstance(inst int) bool {
-	return inst >= 0 && inst < r.cfg.groups() && r.cfg.LeaderOf(r.view, inst) == r.cfg.Self
-}
+// isPrimary reports whether this replica is the primary of its current
+// view.
+func (r *Replica) isPrimary() bool { return r.cfg.PrimaryOf(r.view) == r.cfg.Self }
 
 // Checkpoints reports how many checkpoints the replica retains and how many
 // it has serialized for a fetching peer (a checkpoint is materialized at

@@ -196,8 +196,8 @@ func (lg *lateBodyGroup) grace() time.Duration { return lg.replicas[0].cfg.Statu
 
 // TestLateBodyFetchedFromLeader: a separately transmitted body lost on its
 // way to one backup is fetched once the grace period expires — from the
-// slot's instance leader, naming only the missing entry — and the leader's
-// answer inlines that body alone, after which the batch commits.
+// primary, naming only the missing entry — and the primary's answer
+// inlines that body alone, after which the batch commits.
 func TestLateBodyFetchedFromLeader(t *testing.T) {
 	// Window 1 holds the second and third requests back until the first
 	// batch executes, so they share batch 2; only the third body is lost.
@@ -220,7 +220,7 @@ func TestLateBodyFetchedFromLeader(t *testing.T) {
 	if len(lg.fetches) != 1 {
 		t.Fatalf("backup sent %d level -1 fetches after the grace period, want 1", len(lg.fetches))
 	}
-	f, leader := lg.fetches[0], backup.leaderOfSeq(0, 2)
+	f, leader := lg.fetches[0], backup.cfg.PrimaryOf(0)
 	if lg.dsts[0] != leader || f.Index != 2 || len(f.Missing) != 1 || f.Missing[0] != 1 {
 		t.Fatalf("fetch to %d for seq %d missing %v, want to leader %d for seq 2 missing [1]", lg.dsts[0], f.Index, f.Missing, leader)
 	}

@@ -105,7 +105,7 @@ func (r *Replica) statusTick() {
 			// commit latency merely exceeds the tick period — measured at
 			// 75% of primary egress in the 4 KB/0 microbenchmark at 200
 			// clients, a self-sustaining collapse.
-			if r.leadsSeq(s.seq) {
+			if r.isPrimary() {
 				for _, pp := range r.rebuildPrePrepares(s, nil) {
 					r.broadcast(pp)
 				}
@@ -142,9 +142,9 @@ func (r *Replica) armBodyFetch() {
 // still have not arrived once the grace period armed at pre-prepare
 // receipt expires (see onPrePrepare): by then a merely-late body would
 // have drained out of the queues, so what is still missing was genuinely
-// dropped. Fetches go to the slot's instance leader only — it assembled
-// the batch, so it has every body — and are capped per firing; a
-// remainder re-arms the timer instead of bursting.
+// dropped. Fetches go to the primary only — it assembled the batch, so it
+// has every body — and are capped per firing; a remainder re-arms the
+// timer instead of bursting.
 func (r *Replica) fetchLateBodies() {
 	if r.inViewChange {
 		return
@@ -166,7 +166,7 @@ func (r *Replica) fetchLateBodies() {
 				missing = append(missing, int32(j))
 			}
 		}
-		r.send(r.leaderOfSeq(r.view, n), r.buildFetch(-1, n, r.lastStable, missing))
+		r.send(r.cfg.PrimaryOf(r.view), r.buildFetch(-1, n, r.lastStable, missing))
 	}
 }
 

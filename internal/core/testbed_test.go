@@ -363,7 +363,6 @@ func buildGroupSM(t *testing.T, n int, clientIDs []int, mutate func(*Config), sm
 			Self:              id,
 			Opts:              g.replicas[0].cfg.Opts,
 			InlineThreshold:   g.replicas[0].cfg.InlineThreshold,
-			Instances:         g.replicas[0].cfg.Instances,
 			RetransmitTimeout: 150 * time.Millisecond,
 		}
 		cl, err := NewClient(ccfg, tables[n+j], nil)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"bftfast/internal/crypto"
 	"bftfast/internal/message"
@@ -19,7 +21,7 @@ func (r *Replica) mergePQSets() {
 		if !s.havePP || n <= r.lastStable {
 			continue
 		}
-		prePrepared := s.sentPrepare || r.leaderOfSeq(s.view, n) == r.cfg.Self
+		prePrepared := s.sentPrepare || r.cfg.PrimaryOf(s.view) == r.cfg.Self
 		if prePrepared {
 			if q, ok := r.qset[n]; !ok || s.view > q.View {
 				r.qset[n] = message.PQEntry{Seq: n, View: s.view, Digest: s.batchDigest}
@@ -437,16 +439,11 @@ func decideNewView(cfg Config, vcs map[int32]*vcRecord) (minSeq int64, stableD c
 			for _, c := range e.p {
 				cands = append(cands, c)
 			}
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].View != cands[j].View {
-					return cands[i].View > cands[j].View
+			slices.SortFunc(cands, func(a, b message.PQEntry) int {
+				if c := cmp.Compare(b.View, a.View); c != 0 {
+					return c
 				}
-				for b := 0; b < crypto.DigestSize; b++ {
-					if cands[i].Digest[b] != cands[j].Digest[b] {
-						return cands[i].Digest[b] < cands[j].Digest[b]
-					}
-				}
-				return false
+				return bytes.Compare(a.Digest[:], b.Digest[:])
 			})
 			for _, cand := range cands {
 				a1 := 0
@@ -580,7 +577,7 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 	if r.lastExec > floor {
 		floor = r.lastExec
 	}
-	r.resetInstanceCounters(floor)
+	r.lastPP, r.maxKnownPP = floor, floor
 	r.inFlight = rebuildInFlight(r.log)
 	r.salvageRequests(oldLog)
 
@@ -595,7 +592,7 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 		if s.committed {
 			continue
 		}
-		if r.leadsSeq(n) {
+		if r.isPrimary() {
 			r.advance(s)
 		} else {
 			r.onSlotResolved(s)
@@ -603,22 +600,20 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 	}
 
 	// Requests that were in flight under the old view may have fallen out;
-	// re-queue everything still buffered that belongs to an instance this
-	// replica now leads (at g = 1: everything, on the new primary).
-	if inst := r.ownInstance(); inst >= 0 {
-		g := r.cfg.groups()
+	// the new primary re-queues everything still buffered and unassigned.
+	if r.isPrimary() {
 		r.queue = r.queue[:0]
 		for d := range r.reqBuffer {
-			if _, assigned := r.inFlight[d]; !assigned && instanceForDigest(d, g) == inst {
+			if _, assigned := r.inFlight[d]; !assigned {
 				r.queue = append(r.queue, d)
 			}
 		}
-		sort.Slice(r.queue, func(i, j int) bool {
-			a, b := r.reqBuffer[r.queue[i]].req, r.reqBuffer[r.queue[j]].req
-			if a.Client != b.Client {
-				return a.Client < b.Client
+		slices.SortFunc(r.queue, func(a, b crypto.Digest) int {
+			ra, rb := r.reqBuffer[a].req, r.reqBuffer[b].req
+			if c := cmp.Compare(ra.Client, rb.Client); c != 0 {
+				return c
 			}
-			return a.Timestamp < b.Timestamp
+			return cmp.Compare(ra.Timestamp, rb.Timestamp)
 		})
 	}
 	r.tryExecute()
@@ -632,10 +627,10 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 // if the new view decided a different batch for that sequence (e.g. after
 // a primary equivocated), rebuilding the log would otherwise drop those
 // requests and liveness would stall until clients retransmit. Backups also
-// relay small salvaged bodies to each request's new instance leader, which
-// may never have seen them.
+// relay small salvaged bodies to the new primary, which may never have
+// seen them.
 func (r *Replica) salvageRequests(oldLog map[int64]*slot) {
-	g := r.cfg.groups()
+	primary := r.cfg.PrimaryOf(r.view)
 	// The relays below hit the wire: walk superseded slots in sequence
 	// order.
 	for _, n := range sortedKeys(oldLog) {
@@ -656,11 +651,10 @@ func (r *Replica) salvageRequests(oldLog map[int64]*slot) {
 			}
 			raw := message.Marshal(&r.wireEnc, req)
 			r.reqBuffer[d] = &bufferedRequest{req: req, raw: raw, digest: d, relayed: true}
-			leader := r.cfg.LeaderOf(r.view, instanceForDigest(d, g))
-			if leader != r.cfg.Self && !r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
+			if primary != r.cfg.Self && !r.cfg.Opts.separate(len(raw), r.cfg.InlineThreshold) {
 				// Send buffers hand ownership to the environment; the
 				// buffered copy stays ours.
-				r.env.Send(leader, append([]byte(nil), raw...))
+				r.env.Send(primary, append([]byte(nil), raw...))
 			}
 		}
 	}

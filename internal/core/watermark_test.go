@@ -70,7 +70,7 @@ func TestPrimaryStopsAtLogWindow(t *testing.T) {
 	}
 	g.c.run(func() bool { return done >= 8 }, 30*time.Second, "ops up to the log window")
 	g.c.advance(3 * time.Second)
-	if pp := g.replicas[0].instPP[0]; pp > 8 {
+	if pp := g.replicas[0].lastPP; pp > 8 {
 		t.Fatalf("primary assigned seq %d beyond the log window 8", pp)
 	}
 	// Unblock checkpoints: stability resumes (via the status-driven

@@ -27,8 +27,6 @@ type Status struct {
 	View          int64        `json:"view"`
 	LastExecuted  int64        `json:"last_executed"`
 	LastStable    int64        `json:"last_stable"`
-	Instances     int          `json:"instances"`
-	LeaderOf      []int        `json:"leader_of"` // ordering instances this node leads now
 	Peers         []PeerStatus `json:"peers,omitempty"`
 	UptimeSeconds float64      `json:"uptime_s"`
 
@@ -83,7 +81,7 @@ type Server struct {
 //
 //	/metrics       Prometheus text exposition of the registry snapshot
 //	/healthz       200 "ok" while the node answers, 503 once it is gone
-//	/statusz       JSON protocol position (view, frontier, leadership, peers)
+//	/statusz       JSON protocol position (view, frontier, peers, checkpoints)
 //	/flight        BFTTRC01 download of the flight-recorder ring
 //	/debug/pprof/  the standard Go profile handlers
 func Serve(opts Options) (*Server, error) {

@@ -41,8 +41,7 @@ func TestServerEndpoints(t *testing.T) {
 			return reg.Snapshot(), nil
 		},
 		Status: func() (Status, error) {
-			return Status{Node: 0, Role: "replica", View: 2, LastExecuted: 9,
-				Instances: 1, LeaderOf: []int{0}}, nil
+			return Status{Node: 0, Role: "replica", View: 2, LastExecuted: 9, LastStable: 8}, nil
 		},
 		FlightEvents: func() ([]obs.Event, error) { return events, nil },
 	})
@@ -85,7 +84,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("statusz decode: %v\n%s", err, body)
 	}
-	if st.View != 2 || st.LastExecuted != 9 || len(st.LeaderOf) != 1 {
+	if st.View != 2 || st.LastExecuted != 9 || st.LastStable != 8 {
 		t.Errorf("statusz = %+v", st)
 	}
 

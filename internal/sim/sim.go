@@ -190,18 +190,6 @@ func (s *Simulator) RegisterMetrics(reg *obs.Registry, prefix string) {
 		}
 		return total
 	})
-	// The busiest host's CPU time: the structural serial bottleneck of a
-	// run (the primary, for single-leader ordering at saturation). The
-	// parallel-leader sweep reads it to show leader work spreading with g.
-	reg.GaugeFunc(prefix+"cpu_busy_max_ns", func() int64 {
-		var max int64
-		for _, n := range s.nodes {
-			if busy := int64(n.stats.CPUBusy); busy > max {
-				max = busy
-			}
-		}
-		return max
-	})
 	reg.GaugeFunc(prefix+"msgs_sent", func() int64 {
 		var total int64
 		for _, n := range s.nodes {

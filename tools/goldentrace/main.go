@@ -1,12 +1,13 @@
-// Command goldentrace regenerates the golden single-leader traces under
-// internal/bench/testdata. The goldens anchor the parallel-leader ordering
-// extension's backward-compatibility contract (see
-// internal/bench/parallel_test.go): runs with Instances in {0, 1} must
-// reproduce them byte for byte. golden_g1_rw_piggyback is the 0/0 run with
-// piggybacked commits on; it moves when core.Replica.settleCommits does.
+// Command goldentrace regenerates the golden traces under
+// internal/bench/testdata. They pin the engine's normal case (see
+// TestGoldenTraces in internal/bench/golden_test.go): three short
+// simulated runs must reproduce them byte for byte, so a refactor that
+// changes any event or virtual timestamp fails. golden_g1_rw_piggyback is
+// the 0/0 run with piggybacked commits on; it moves when
+// core.Replica.settleCommits does.
 //
 // Regenerate ONLY when an intentional engine change moves the baseline —
-// from a commit where the single-leader behavior is known-good:
+// from a commit where the engine's behavior is known-good:
 //
 //	go run ./tools/goldentrace
 package main
@@ -32,7 +33,7 @@ func main() {
 		ro        bool
 		piggyback bool
 	}{
-		// Parameters are mirrored by goldenParams in parallel_test.go; keep
+		// Parameters are mirrored by goldenParams in golden_test.go; keep
 		// the two in lockstep.
 		{"golden_g1_rw", 6, false, false},
 		{"golden_g1_ro", 4, true, false},
