@@ -35,15 +35,17 @@ func main() {
 		copies = append(copies, c)
 	}
 
-	if *figure == "8" || *figure == "all" {
-		totals, phases := bench.Figure8WithPhases(copies)
-		totals.Print(os.Stdout)
-		phases.Print(os.Stdout)
+	pm := workload.DefaultPostMark()
+	pm.InitialFiles = *files
+	pm.Transactions = *transactions
+	if *figure == "all" {
+		for _, name := range bench.FSFigureNames {
+			bench.WriteFSFigure(os.Stdout, name, copies, pm)
+		}
+		return
 	}
-	if *figure == "9" || *figure == "all" {
-		cfg := workload.DefaultPostMark()
-		cfg.InitialFiles = *files
-		cfg.Transactions = *transactions
-		bench.Figure9(cfg).Print(os.Stdout)
+	if !bench.WriteFSFigure(os.Stdout, *figure, copies, pm) {
+		fmt.Fprintf(os.Stderr, "bfs-bench: unknown figure %q\n", *figure)
+		os.Exit(2)
 	}
 }
