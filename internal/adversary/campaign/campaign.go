@@ -161,9 +161,8 @@ func Run(p Params) *Result {
 }
 
 // livenessParams is the shared configuration of the baseline and every
-// attacked run: snapshots on (view changes must be able to roll back
-// tentative execution) and a suspicion timeout short enough that deposing
-// a faulty primary fits inside the measurement window. Comparing attacked
+// attacked run: a suspicion timeout short enough that deposing a faulty
+// primary fits inside the measurement window. Comparing attacked
 // runs against a baseline with identical settings isolates the attack's
 // cost from the cost of running attack-ready.
 func livenessParams(p Params) bench.MicroParams {
@@ -172,7 +171,6 @@ func livenessParams(p Params) bench.MicroParams {
 	mp.Seed = p.Seed
 	mp.Warmup = time.Duration(float64(mp.Warmup) * p.Scale)
 	mp.Measure = time.Duration(float64(mp.Measure) * p.Scale)
-	mp.Snapshots = true
 	// Scale the suspicion timeout with the window so deposing a faulty
 	// primary fits inside shortened runs too; 50ms stays an order of
 	// magnitude above fault-free operation latency at these loads.
@@ -397,7 +395,6 @@ func safetyRun(b adversary.Behavior, seed int64) SafetyReport {
 		i := i
 		s.AddMeteredNode(func(m crypto.Meter) proc.Handler {
 			cfg := core.DefaultConfig(n, i)
-			cfg.CheckpointSnapshots = true
 			cfg.ViewChangeTimeout = 300 * time.Millisecond
 			cfg.StatusInterval = 50 * time.Millisecond
 			cfg.Opts.PiggybackCommits = sc.Faulty[faulty].Behavior.Piggybacked()

@@ -148,10 +148,6 @@ type MicroParams struct {
 	// replica honest; a nil hook leaves the run bit-identical to one
 	// without the field.
 	WrapReplica func(id, n int, h proc.Handler, keys *crypto.KeyTable) proc.Handler
-	// Snapshots keeps checkpoint state snapshots enabled. The fault-free
-	// benchmark disables them (the paper's normal case); adversarial runs
-	// need them so view changes can roll back tentative execution.
-	Snapshots bool
 	// ViewChangeTimeout overrides the replicas' suspicion timeout (zero
 	// keeps the benchmark default of 2s, generous enough that saturation
 	// drops heal by retransmission instead of deposing the primary).
@@ -255,7 +251,6 @@ func RunMicro(p MicroParams) MicroResult {
 			s.AddMeteredNode(func(m crypto.Meter) proc.Handler {
 				cfg := core.DefaultConfig(n, i)
 				cfg.Opts = p.Opts
-				cfg.CheckpointSnapshots = p.Snapshots // off in the fault-free normal case
 				if p.Window > 0 {
 					cfg.Window = p.Window
 				}

@@ -79,6 +79,7 @@ type Service struct {
 
 var (
 	_ core.StateMachine = (*Service)(nil)
+	_ core.Checkpointer = (*Service)(nil)
 	_ core.EnvAware     = (*Service)(nil)
 )
 
@@ -170,3 +171,18 @@ func (s *Service) Snapshot() []byte { return s.fsys.Snapshot() }
 
 // Restore implements core.StateMachine.
 func (s *Service) Restore(snap []byte) error { return s.fsys.Restore(snap) }
+
+// Checkpoint implements core.Checkpointer through the file system's
+// copy-on-write inodes. No checkpoint method charges virtual time: the
+// memory the copies hold is modeled by the smaller page cache a BFS
+// replica gets (bench.RunFS).
+func (s *Service) Checkpoint(seq int64) { s.fsys.Checkpoint(seq) }
+
+// SnapshotAt implements core.Checkpointer.
+func (s *Service) SnapshotAt(seq int64) []byte { return s.fsys.SnapshotAt(seq) }
+
+// RollbackTo implements core.Checkpointer.
+func (s *Service) RollbackTo(seq int64) error { return s.fsys.RollbackTo(seq) }
+
+// Release implements core.Checkpointer.
+func (s *Service) Release(below int64) { s.fsys.Release(below) }

@@ -26,7 +26,6 @@ func (g *group) wrapFaulty(id int, b adversary.Behavior) *adversary.Node {
 // the client retransmission timer.
 func TestEquivocatingPrimaryDeposedAndSalvaged(t *testing.T) {
 	g := buildGroup(t, 4, []int{4, 5}, func(c *Config) {
-		c.CheckpointSnapshots = true
 		c.ViewChangeTimeout = 50 * time.Millisecond
 	})
 	attacker := g.wrapFaulty(0, adversary.EquivocatePrimary)
@@ -63,7 +62,6 @@ func TestEquivocatingPrimaryDeposedAndSalvaged(t *testing.T) {
 // transfer completes from an honest replica.
 func TestCorruptTransferSourceRejected(t *testing.T) {
 	g := buildGroup(t, 4, []int{4}, func(c *Config) {
-		c.CheckpointSnapshots = true
 		c.CheckpointInterval = 8
 		c.LogWindow = 16
 	})

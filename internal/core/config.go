@@ -112,14 +112,6 @@ type Config struct {
 	// (h, h+L] where h is the last stable checkpoint.
 	LogWindow int64
 
-	// CheckpointSnapshots retains the state at each checkpoint so the
-	// replica can serve state transfer and roll back tentative execution
-	// across view changes. What that costs depends on the service: a
-	// Checkpointer keeps checkpoints copy-on-write, as the paper's library
-	// did; for a plain StateMachine each one is a Snapshot, and benchmarks
-	// of the fault-free normal case may disable retention to avoid it.
-	CheckpointSnapshots bool
-
 	// ViewChangeTimeout is how long a backup waits for a pending request
 	// to execute before triggering a view change. The timeout doubles on
 	// consecutive failed view changes.
@@ -145,18 +137,17 @@ type Config struct {
 // DefaultConfig returns the paper's standard configuration for n replicas.
 func DefaultConfig(n, self int) Config {
 	return Config{
-		N:                   n,
-		Self:                self,
-		Opts:                AllOptimizations(),
-		InlineThreshold:     255,
-		MaxBatchBytes:       8 << 10,
-		MaxBatchRequests:    64,
-		Window:              8,
-		CheckpointInterval:  128,
-		LogWindow:           256,
-		CheckpointSnapshots: true,
-		ViewChangeTimeout:   500 * time.Millisecond,
-		StatusInterval:      150 * time.Millisecond,
+		N:                  n,
+		Self:               self,
+		Opts:               AllOptimizations(),
+		InlineThreshold:    255,
+		MaxBatchBytes:      8 << 10,
+		MaxBatchRequests:   64,
+		Window:             8,
+		CheckpointInterval: 128,
+		LogWindow:          256,
+		ViewChangeTimeout:  500 * time.Millisecond,
+		StatusInterval:     150 * time.Millisecond,
 	}
 }
 

@@ -377,8 +377,8 @@ func (r *Replica) restoreSnapshot(snap []byte) error {
 	return nil
 }
 
-// takeCheckpoint digests the state at batch seq, retains it when
-// configured, and announces the checkpoint to the group.
+// takeCheckpoint digests the state at batch seq, retains it, and announces
+// the checkpoint to the group.
 func (r *Replica) takeCheckpoint(seq int64) {
 	r.trace(obs.EvCheckpoint, seq, 0, 0)
 	ids := r.sortedClients()
@@ -387,7 +387,7 @@ func (r *Replica) takeCheckpoint(seq int64) {
 	// from lastStable while it waits for the state transfer (checkStable);
 	// the state it passes boundaries with then is not the boundary's, and
 	// the checkpoints it retained the first time stay.
-	if newest, ok := r.newestCheckpoint(); r.cfg.CheckpointSnapshots && (!ok || seq > newest) {
+	if newest, ok := r.newestCheckpoint(); !ok || seq > newest {
 		r.retainCheckpoint(seq, ids)
 	}
 	r.recordCheckpoint(seq, int32(r.cfg.Self), d)

@@ -319,9 +319,7 @@ func (r *Replica) Init(env proc.Env) {
 		aware.SetEnv(env)
 	}
 	ids := r.sortedClients()
-	if r.cfg.CheckpointSnapshots {
-		r.retainCheckpoint(0, ids)
-	}
+	r.retainCheckpoint(0, ids)
 	r.stableDigest = r.checkpointDigest(ids)
 	if r.cfg.StatusInterval > 0 {
 		env.SetTimer(timerStatus, r.cfg.StatusInterval)

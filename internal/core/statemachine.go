@@ -53,11 +53,11 @@ type StateMachine interface {
 // calls Snapshot at every Checkpoint and Restore at RollbackTo, which is
 // correct for any service and costs O(state) per checkpoint.
 //
-// The replica calls Checkpoint with strictly increasing seq, and only
-// while Config.CheckpointSnapshots is on. At most LogWindow /
-// CheckpointInterval + 1 checkpoints are retained at a time: every
-// checkpoint lies in the log window above the stable one, which is
-// retained too. A successful Restore forgets every checkpoint.
+// The replica calls Checkpoint with strictly increasing seq: at start
+// (seq 0), at every checkpoint it takes, and after a state transfer. At
+// most LogWindow / CheckpointInterval + 1 checkpoints are retained at a
+// time: every checkpoint lies in the log window above the stable one,
+// which is retained too. A successful Restore forgets every checkpoint.
 type Checkpointer interface {
 	// Checkpoint declares the state as of this call to be checkpoint seq.
 	Checkpoint(seq int64)

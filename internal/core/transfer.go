@@ -126,7 +126,7 @@ func (r *Replica) onFetch(f *message.Fetch) {
 		}
 		cs := r.chunked(r.lastStable)
 		if cs == nil {
-			return // snapshots disabled or already collected
+			return // not retained: a state transfer of our own dropped it
 		}
 		r.send(sender, &message.Meta{
 			Level:    0,
@@ -226,10 +226,8 @@ func (r *Replica) onFragment(frag *message.Fragment) {
 	r.lastExec = seq
 	r.lastCommittedExec = seq
 	r.recordCheckpoint(seq, int32(r.cfg.Self), st.expect)
-	if r.cfg.CheckpointSnapshots {
-		// The restore dropped every checkpoint; seq is the state now.
-		r.retainCheckpoint(seq, ids)
-	}
+	// The restore dropped every checkpoint; seq is the state now.
+	r.retainCheckpoint(seq, ids)
 	r.makeStable(seq, st.expect)
 	// Drop buffered requests the restored state has already answered;
 	// otherwise they keep the suspicion timer armed forever.

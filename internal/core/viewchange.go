@@ -701,10 +701,11 @@ func (r *Replica) copyBatch(s, os *slot) {
 
 // rollbackTentative undoes tentative execution by returning to the newest
 // retained checkpoint and replaying the committed batches above it —
-// without replies, traces or counts: clients already have the results. It
-// requires checkpoint snapshots; without them — or if the rollback fails,
-// which for a checkpoint of our own is a programming error — the replica
-// refetches committed state from its peers rather than crashing the group.
+// without replies, traces or counts: clients already have the results. If
+// no checkpoint is retained (a state transfer is replacing the state) or
+// the rollback fails, which for a checkpoint of our own is a programming
+// error, the replica refetches committed state from its peers rather than
+// crashing the group.
 func (r *Replica) rollbackTentative() {
 	r.lastExec = r.lastCommittedExec
 	seq, err := r.rollbackToNewest()
