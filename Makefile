@@ -137,7 +137,7 @@ breakdown:
 figures:
 	$(GO) run ./cmd/bft-bench -figure all
 
-# Full-resolution file-system figures (Figures 8-9; ~25 min).
+# Full-resolution file-system figures (Figures 8-9; under a minute).
 fs-figures:
 	$(GO) run ./cmd/bfs-bench
 
