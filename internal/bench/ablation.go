@@ -25,7 +25,7 @@ func AblationWindow(clients int, scale float64) *Table {
 
 // AblationCheckpointInterval sweeps K, the checkpoint period: frequent
 // checkpoints add digest and garbage-collection work; rare ones grow the
-// log (and, in deployments with snapshots, the recovery cost).
+// log and the batches a rollback replays.
 func AblationCheckpointInterval(clients int, scale float64) *Table {
 	t := &Table{
 		Title:  fmt.Sprintf("Ablation: checkpoint interval K (0/0, %d clients)", clients),
