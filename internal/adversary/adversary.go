@@ -31,6 +31,10 @@
 //     commit references name a wrong digest or an out-of-window sequence.
 //   - WithholdCarriers: sends no pre-prepare or prepare, so no carrier ever
 //     brings its commits; nobody may wait for one.
+//   - SlowPrimary: the primary holds every pre-prepare back for a fixed
+//     time just under the backups' suspicion timeout, so it is never
+//     deposed and paces the whole group (Aardvark, NSDI 2009). The
+//     campaign states how far throughput may fall.
 //
 // The adversary signs its forgeries with the replica's own key table but
 // meters none of the cryptography: a real attacker's cycles are free to
@@ -59,6 +63,7 @@ const (
 	DelayReorder
 	ForgeCommitRefs
 	WithholdCarriers
+	SlowPrimary
 )
 
 var behaviorNames = map[Behavior]string{
@@ -70,6 +75,7 @@ var behaviorNames = map[Behavior]string{
 	DelayReorder:      "delay-reorder",
 	ForgeCommitRefs:   "forge-refs",
 	WithholdCarriers:  "no-carriers",
+	SlowPrimary:       "slow-primary",
 }
 
 // String returns the behavior's stable name (used in campaign tables).
@@ -86,7 +92,7 @@ func (b Behavior) Piggybacked() bool { return b == ForgeCommitRefs || b == Withh
 // Behaviors lists every real behavior, in campaign order.
 var Behaviors = []Behavior{
 	EquivocatePrimary, FloodGarbage, SpamViewChange, CorruptTransfer, DelayReorder,
-	ForgeCommitRefs, WithholdCarriers,
+	ForgeCommitRefs, WithholdCarriers, SlowPrimary,
 }
 
 // Config parameterizes one faulty replica. The zero value of every knob
@@ -105,7 +111,8 @@ type Config struct {
 	// (SpamViewChange). Default 10ms.
 	SpamInterval time.Duration
 	// MaxDelay bounds the holdback applied to outgoing messages
-	// (DelayReorder). Default 2ms.
+	// (DelayReorder), and is the fixed holdback of every pre-prepare
+	// (SlowPrimary). Default 2ms.
 	MaxDelay time.Duration
 	// DupEvery duplicates every DupEvery-th released message
 	// (DelayReorder). Default 7; negative disables duplication.

@@ -52,6 +52,13 @@ var minFactor = map[adversary.Behavior]float64{
 	// Quorums then need all three correct replicas; that should cost little.
 	adversary.ForgeCommitRefs:  0.50,
 	adversary.WithholdCarriers: 0.50,
+	// A primary that holds each pre-prepare just under the suspicion
+	// timeout is never deposed: every operation waits 0.9 timeouts, so each
+	// closed-loop client completes about one per 0.9 timeouts — 8 clients
+	// at the campaign's 100 ms timeout give ≈ 89 ops/s against ≈ 2 500.
+	// The floor states that collapse; only a timer the primary cannot
+	// stretch to its pace would raise it.
+	adversary.SlowPrimary: 0.02,
 }
 
 // Params configures one campaign.
@@ -98,16 +105,20 @@ type Result struct {
 }
 
 // scenarioFor places one faulty replica: the view-0 primary for
-// equivocation (a faulty backup cannot equivocate pre-prepares), the last
-// backup otherwise.
-func scenarioFor(b adversary.Behavior, n int, seed int64) (*adversary.Scenario, int) {
-	id := n - 1
-	if b == adversary.EquivocatePrimary {
+// equivocation and slow ordering (a faulty backup can do neither), the last
+// backup otherwise. vct is the correct replicas' suspicion timeout; a slow
+// primary holds each pre-prepare for nine tenths of it.
+func scenarioFor(b adversary.Behavior, n int, seed int64, vct time.Duration) (*adversary.Scenario, int) {
+	id, cfg := n-1, Config{Behavior: b}
+	switch b {
+	case adversary.EquivocatePrimary:
 		id = 0
+	case adversary.SlowPrimary:
+		id, cfg.MaxDelay = 0, vct*9/10
 	}
 	return &adversary.Scenario{
 		Seed:   seed,
-		Faulty: map[int]Config{id: {Behavior: b}},
+		Faulty: map[int]Config{id: cfg},
 	}, id
 }
 
@@ -133,7 +144,7 @@ func Run(p Params) *Result {
 
 	res := &Result{}
 	for _, b := range adversary.Behaviors {
-		sc, faulty := scenarioFor(b, 4, p.Seed)
+		sc, faulty := scenarioFor(b, 4, p.Seed, base.ViewChangeTimeout)
 		att, baseline := base, baseRes.Throughput
 		if b.Piggybacked() {
 			att.Opts.PiggybackCommits = true
@@ -279,6 +290,7 @@ const (
 	safetyReplicas = 4
 	safetyClients  = 3
 	safetyRounds   = 8
+	safetyTimeout  = 300 * time.Millisecond // the replicas' ViewChangeTimeout
 	// timerScriptStart staggers script starts; clear of core.Client's keys.
 	timerScriptStart = 1000
 )
@@ -375,7 +387,7 @@ func scriptFor(j int) []scriptOp {
 // cluster with the behavior installed at one replica, scripted concurrent
 // clients, and a post-run linearizability + state-digest audit.
 func safetyRun(b adversary.Behavior, seed int64) SafetyReport {
-	sc, faulty := scenarioFor(b, safetyReplicas, seed)
+	sc, faulty := scenarioFor(b, safetyReplicas, seed, safetyTimeout)
 	s := sim.New(sim.DefaultCostModel(), seed)
 	rng := rand.New(rand.NewSource(seed)) //nolint:gosec // deterministic simulation
 
@@ -395,7 +407,7 @@ func safetyRun(b adversary.Behavior, seed int64) SafetyReport {
 		i := i
 		s.AddMeteredNode(func(m crypto.Meter) proc.Handler {
 			cfg := core.DefaultConfig(n, i)
-			cfg.ViewChangeTimeout = 300 * time.Millisecond
+			cfg.ViewChangeTimeout = safetyTimeout
 			cfg.StatusInterval = 50 * time.Millisecond
 			cfg.Opts.PiggybackCommits = sc.Faulty[faulty].Behavior.Piggybacked()
 			services[i] = kvservice.New()
@@ -502,7 +514,7 @@ func AdversarialFigure4(clients []int, scale float64) *bench.Table {
 		row := []string{fmt.Sprint(c), fmt.Sprintf("%.0f", ff.Throughput)}
 		var factors []string
 		for _, b := range []adversary.Behavior{adversary.FloodGarbage, adversary.DelayReorder} {
-			sc, _ := scenarioFor(b, 4, p.Seed)
+			sc, _ := scenarioFor(b, 4, p.Seed, base.ViewChangeTimeout)
 			att := base
 			att.WrapReplica = sc.WrapReplica
 			res := bench.RunMicro(att)

@@ -43,6 +43,7 @@ func TestSafetyRunPerBehavior(t *testing.T) {
 				adversary.DelayReorder:      rep.Attacks.Delayed,
 				adversary.ForgeCommitRefs:   rep.Attacks.RefsForged,
 				adversary.WithholdCarriers:  rep.Attacks.CarriersWithheld,
+				adversary.SlowPrimary:       rep.Attacks.Delayed,
 				// CorruptTransfer only bites when a replica falls behind and
 				// fetches; the core-level test forces that path.
 				adversary.CorruptTransfer: 1,

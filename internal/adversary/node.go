@@ -30,7 +30,7 @@ type Stats struct {
 	StaleReplays       int64 // verbatim replays of old own traffic
 	ViewChangesSpammed int64 // forged view-change messages sent
 	FragmentsCorrupted int64 // state-transfer chunks served bit-flipped
-	Delayed            int64 // messages held back
+	Delayed            int64 // messages held back (DelayReorder, SlowPrimary)
 	Duplicated         int64 // messages delivered twice
 	RefsForged         int64 `json:",omitempty"` // bogus commit refs on own prepares (omitempty: older rows' JSON stays)
 	CarriersWithheld   int64 `json:",omitempty"` // own pre-prepares and prepares never sent
@@ -60,7 +60,7 @@ type Node struct {
 	peers    []int // every replica but self, the flood/spam target set
 	spamView int64
 	stale    [][]byte  // recent own traffic, for stale replays
-	hold     []heldMsg // delayed messages, sorted by due time
+	held     []heldMsg // delayed messages, sorted by due time
 	released int64     // messages released so far (drives DupEvery)
 
 	stats Stats
@@ -165,6 +165,11 @@ func (a *Node) out(dsts []int, data []byte, multicast bool) {
 	case WithholdCarriers:
 		if len(data) > 0 && (message.Type(data[0]) == message.TypePrePrepare || message.Type(data[0]) == message.TypePrepare) {
 			a.stats.CarriersWithheld++
+			return
+		}
+	case SlowPrimary:
+		if len(data) > 0 && message.Type(data[0]) == message.TypePrePrepare {
+			a.hold(dsts, data, a.env.Now()+a.cfg.MaxDelay)
 			return
 		}
 	}
@@ -313,26 +318,30 @@ func (a *Node) delay(dsts []int, data []byte) {
 		a.env.Multicast(dsts, data)
 		return
 	}
-	due := a.env.Now() + time.Duration(1+a.rng.Int63n(int64(a.cfg.MaxDelay)))
+	a.hold(dsts, data, a.env.Now()+time.Duration(1+a.rng.Int63n(int64(a.cfg.MaxDelay))))
+}
+
+// hold queues one outbound transmission for release at due.
+func (a *Node) hold(dsts []int, data []byte, due time.Duration) {
 	h := heldMsg{due: due, dsts: append([]int(nil), dsts...), data: data}
 	// Insert keeping the queue sorted by due time (FIFO among equals).
-	i := len(a.hold)
-	for i > 0 && a.hold[i-1].due > due {
+	i := len(a.held)
+	for i > 0 && a.held[i-1].due > due {
 		i--
 	}
-	a.hold = append(a.hold, heldMsg{})
-	copy(a.hold[i+1:], a.hold[i:])
-	a.hold[i] = h
+	a.held = append(a.held, heldMsg{})
+	copy(a.held[i+1:], a.held[i:])
+	a.held[i] = h
 	a.stats.Delayed++
 	a.armRelease()
 }
 
 // armRelease points the release timer at the head of the hold queue.
 func (a *Node) armRelease() {
-	if len(a.hold) == 0 {
+	if len(a.held) == 0 {
 		return
 	}
-	d := a.hold[0].due - a.env.Now()
+	d := a.held[0].due - a.env.Now()
 	if d < 0 {
 		d = 0
 	}
@@ -342,13 +351,13 @@ func (a *Node) armRelease() {
 // release sends every held message that has come due.
 func (a *Node) release() {
 	now := a.env.Now()
-	for len(a.hold) > 0 && a.hold[0].due <= now {
-		h := a.hold[0]
-		a.hold[0] = heldMsg{}
-		a.hold = a.hold[1:]
+	for len(a.held) > 0 && a.held[0].due <= now {
+		h := a.held[0]
+		a.held[0] = heldMsg{}
+		a.held = a.held[1:]
 		a.env.Multicast(h.dsts, h.data)
 		a.released++
-		if a.cfg.DupEvery > 0 && a.released%int64(a.cfg.DupEvery) == 0 {
+		if a.cfg.Behavior == DelayReorder && a.cfg.DupEvery > 0 && a.released%int64(a.cfg.DupEvery) == 0 {
 			a.env.Multicast(h.dsts, append([]byte(nil), h.data...))
 			a.stats.Duplicated++
 		}

@@ -452,7 +452,23 @@ func testRequestWaitingMatchesFullScan(t *testing.T, pb bool) {
 
 		lossRate = 0
 		g.c.advance(3 * time.Second) // stragglers rejoin the group's view
-		dead = g.replicas[1].cfg.PrimaryOf(g.replicas[1].View())
+		// Kill the primary of the view a quorum runs in. A replica whose
+		// timer fired alone under loss waits in a view change the group
+		// never joins, so no one replica's view is the group's.
+		inView := make(map[int64]int)
+		for _, r := range g.replicas {
+			if !r.inViewChange {
+				inView[r.view]++
+			}
+		}
+		for v, n := range inView {
+			if n >= g.replicas[0].cfg.Quorum() {
+				dead = g.replicas[0].cfg.PrimaryOf(v)
+			}
+		}
+		if dead < 0 {
+			t.Fatalf("seed %d: no quorum shares a view after the lossy phase: %v", seed, inView)
+		}
 		viewChanges := func() (sum int64) {
 			for _, r := range g.replicas {
 				sum += r.Stats().ViewChanges

@@ -77,7 +77,7 @@ type pendingOp struct {
 	replier   int32
 	timeout   time.Duration
 	retries   int
-	sentAt    time.Duration
+	sentAt    time.Duration // the latest transmission
 	done      func(result []byte)
 }
 
@@ -438,6 +438,10 @@ func (c *Client) OnTimer(key int) {
 		clear(c.votes)
 	}
 	c.transmit(p, true)
+	// The latency sample times the latest transmission: an operation that
+	// waited out an outage must not feed the outage into srtt, or the next
+	// operations would time out after 4·srtt instead of the floor.
+	p.sentAt = c.env.Now()
 	c.trace(obs.EvClientResend, p.timestamp)
 	if p.timeout < 8*c.cfg.RetransmitTimeout {
 		p.timeout *= 2

@@ -367,12 +367,42 @@ func TestClientTimeoutFloor(t *testing.T) {
 		t.Fatalf("timeout after 1 ms samples = %v, want RetransmitTimeout/8 = %v", got, rto/8)
 	}
 
+	// 60 ms, under the first attempt's jittered RetransmitTimeout (at least
+	// 3/4 of it), so no sample comes from a retransmission.
 	h = newClientHarness(t, AllOptimizations())
 	for i := 0; i < 3; i++ {
-		h.completeAfter(200 * time.Millisecond)
+		h.completeAfter(60 * time.Millisecond)
 	}
-	if got := h.completeAfter(0); h.client.srtt != 200*time.Millisecond || got != 4*h.client.srtt {
-		t.Fatalf("timeout after 200 ms samples = %v (srtt %v), want 4·srtt = 800ms", got, h.client.srtt)
+	if got := h.completeAfter(0); h.client.srtt != 60*time.Millisecond || got != 4*h.client.srtt {
+		t.Fatalf("timeout after 60 ms samples = %v (srtt %v), want 4·srtt = 240ms", got, h.client.srtt)
+	}
+}
+
+// TestClientSampleTimesLatestTransmission: an operation that needed
+// retransmissions feeds srtt the time since its latest transmission, not
+// its whole latency, so the operation after an outage still gets the
+// timeout floor.
+func TestClientSampleTimesLatestTransmission(t *testing.T) {
+	const rto = 100 * time.Millisecond // the harness's RetransmitTimeout
+
+	h := newClientHarness(t, AllOptimizations())
+	for i := 0; i < 3; i++ {
+		h.completeAfter(time.Millisecond)
+	}
+	done := false
+	h.client.Submit([]byte("op"), false, func([]byte) { done = true })
+	p := h.client.cur
+	for p.retries < 3 {
+		h.c.advance(time.Millisecond)
+	}
+	h.c.advance(time.Millisecond)
+	h.reply(0, p.timestamp, []byte("R"), false, true)
+	h.reply(1, p.timestamp, []byte("R"), false, false)
+	if !done {
+		t.Fatal("retransmitted op did not complete")
+	}
+	if got := h.completeAfter(0); got != rto/8 {
+		t.Fatalf("first timeout after a retransmitted op = %v (srtt %v), want RetransmitTimeout/8 = %v", got, h.client.srtt, rto/8)
 	}
 }
 

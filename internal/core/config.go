@@ -113,8 +113,12 @@ type Config struct {
 	LogWindow int64
 
 	// ViewChangeTimeout is how long a backup waits for a pending request
-	// to execute before triggering a view change. The timeout doubles on
-	// consecutive failed view changes.
+	// to execute before it acts. If the primary has pre-prepared past this
+	// replica's frontier, it first asks the group for retransmission (one
+	// status help round) and waits ViewChangeTimeout again; otherwise, or
+	// if that wait also expires, it starts a view change. Execution
+	// progress and a quorum checkpoint past the frontier restart the wait.
+	// The timeout doubles on consecutive failed view changes.
 	ViewChangeTimeout time.Duration
 
 	// StatusInterval is the period of status broadcasts while a replica is
@@ -146,7 +150,7 @@ func DefaultConfig(n, self int) Config {
 		Window:             8,
 		CheckpointInterval: 128,
 		LogWindow:          256,
-		ViewChangeTimeout:  500 * time.Millisecond,
+		ViewChangeTimeout:  125 * time.Millisecond,
 		StatusInterval:     150 * time.Millisecond,
 	}
 }

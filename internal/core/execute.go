@@ -469,7 +469,8 @@ func (r *Replica) checkStable(seq int64, d crypto.Digest) {
 		r.beginStateTransfer(seq)
 		return
 	}
-	if seq > r.knownStable {
+	raised := seq > r.knownStable
+	if raised {
 		r.knownStable = seq
 	}
 	if r.lastCommittedExec < seq {
@@ -479,6 +480,14 @@ func (r *Replica) checkStable(seq int64, d crypto.Digest) {
 		// messages and must fetch state. (Smaller gaps that fail to close
 		// are detected by the status tick, which falls back to a state
 		// transfer too.)
+		//
+		// Either way the primary is not the one at fault: 2f+1 replicas
+		// executed what it ordered. The suspicion timer restarts, but only
+		// when the attested checkpoint rises, so a peer re-sending an old
+		// checkpoint cannot keep it from expiring.
+		if raised {
+			r.syncVCTimer(true)
+		}
 		if seq >= r.lastCommittedExec+r.cfg.CheckpointInterval {
 			r.beginStateTransfer(seq)
 		}

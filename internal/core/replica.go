@@ -65,6 +65,7 @@ type Replica struct {
 	inViewChange  bool
 	vcTimeout     time.Duration
 	vcTimerArmed  bool
+	vcHelped      bool // the view-change timer ran a help round since the last restart
 	statusStarted bool
 
 	// lastPP is the last sequence number the primary assigned (meaningful
@@ -395,6 +396,18 @@ func (r *Replica) OnTimer(key int) {
 	switch key {
 	case timerViewChange:
 		r.vcTimerArmed = false
+		// A primary that pre-prepared past our committed frontier is
+		// ordering: what we lack is more likely a lost datagram than a
+		// faulty primary, so the first expiry asks for retransmission and
+		// waits one timeout more. A primary that ordered nothing new is
+		// suspected at once. The frontier is the committed one: a batch
+		// executed tentatively whose commits were lost is a stall too.
+		if !r.inViewChange && !r.vcHelped && r.maxKnownPP > r.lastCommittedExec {
+			r.vcHelped = true
+			r.helpRound()
+			r.syncVCTimer(false)
+			return
+		}
 		r.startViewChange(r.view + 1)
 	case timerStatus:
 		r.statusTick()
@@ -462,8 +475,13 @@ func (r *Replica) requestWaiting() bool {
 
 // syncVCTimer arms or cancels the liveness timer according to whether the
 // replica is waiting for requests to execute. restart forces a re-arm after
-// execution progress so slow-but-live primaries are not suspected.
+// progress — this replica's own execution, or a quorum checkpoint past its
+// frontier — so slow-but-live primaries are not suspected, and grants the
+// next expiry its help round again.
 func (r *Replica) syncVCTimer(restart bool) {
+	if restart {
+		r.vcHelped = false
+	}
 	if r.inViewChange {
 		return // the view-change path manages its own timer
 	}

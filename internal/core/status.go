@@ -49,6 +49,16 @@ func (r *Replica) statusTick() {
 	if !r.stuck() && !idleBeacon {
 		return
 	}
+	r.helpRound()
+}
+
+// helpRound asks the group for what this replica lacks and re-sends what
+// it owes: its status (peers answer with the ordering evidence it is
+// missing), fetches for unknown batches and late bodies, and its own votes
+// for stalled batches. The status tick runs it when the replica is stuck;
+// the view-change timer runs it once before suspecting a primary that has
+// pre-prepared past this replica's frontier (see OnTimer).
+func (r *Replica) helpRound() {
 	if r.inViewChange {
 		// Make sure our view-change is out there; a primary that already
 		// formed a new view re-multicasts it (with its evidence) instead.
