@@ -35,6 +35,11 @@
 //     time just under the backups' suspicion timeout, so it is never
 //     deposed and paces the whole group (Aardvark, NSDI 2009). The
 //     campaign states how far throughput may fall.
+//   - Censor: the primary drops every request of one client — the first,
+//     id n, in a group that numbers its clients after its n replicas —
+//     sent to it directly or relayed by a backup, and orders everyone
+//     else's. Other clients' progress must not hide the starved one from
+//     the backups.
 //
 // The adversary signs its forgeries with the replica's own key table but
 // meters none of the cryptography: a real attacker's cycles are free to
@@ -64,6 +69,7 @@ const (
 	ForgeCommitRefs
 	WithholdCarriers
 	SlowPrimary
+	Censor
 )
 
 var behaviorNames = map[Behavior]string{
@@ -76,6 +82,7 @@ var behaviorNames = map[Behavior]string{
 	ForgeCommitRefs:   "forge-refs",
 	WithholdCarriers:  "no-carriers",
 	SlowPrimary:       "slow-primary",
+	Censor:            "censor",
 }
 
 // String returns the behavior's stable name (used in campaign tables).
@@ -92,7 +99,7 @@ func (b Behavior) Piggybacked() bool { return b == ForgeCommitRefs || b == Withh
 // Behaviors lists every real behavior, in campaign order.
 var Behaviors = []Behavior{
 	EquivocatePrimary, FloodGarbage, SpamViewChange, CorruptTransfer, DelayReorder,
-	ForgeCommitRefs, WithholdCarriers, SlowPrimary,
+	ForgeCommitRefs, WithholdCarriers, SlowPrimary, Censor,
 }
 
 // Config parameterizes one faulty replica. The zero value of every knob

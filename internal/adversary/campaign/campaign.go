@@ -59,6 +59,13 @@ var minFactor = map[adversary.Behavior]float64{
 	// The floor states that collapse; only a timer the primary cannot
 	// stretch to its pace would raise it.
 	adversary.SlowPrimary: 0.02,
+	// A primary that starves one client while ordering the others keeps
+	// the view-change timer restarting; only the backups' assignment
+	// deadline on the victim's resend deposes it, and the row's starved
+	// count (not the factor, which the others' throughput props up) is
+	// what fails without it. The floor allows one view change, as for
+	// equivocation.
+	adversary.Censor: 0.50,
 }
 
 // Params configures one campaign.
@@ -90,6 +97,7 @@ type Row struct {
 	Attacked  float64       `json:"attacked_ops"`
 	Factor    float64       `json:"factor"`
 	MinFactor float64       `json:"min_factor"`
+	Starved   int           `json:"starved"` // load clients that completed nothing in the attacked run's measurement window, which the factor can hide
 	Breakdown obs.Breakdown `json:"breakdown"`
 
 	// Events is the attacked run's merged protocol trace, kept out of the
@@ -105,9 +113,10 @@ type Result struct {
 }
 
 // scenarioFor places one faulty replica: the view-0 primary for
-// equivocation and slow ordering (a faulty backup can do neither), the last
-// backup otherwise. vct is the correct replicas' suspicion timeout; a slow
-// primary holds each pre-prepare for nine tenths of it.
+// equivocation, slow ordering and censorship (a faulty backup can do none
+// of them), the last backup otherwise. vct is the correct replicas'
+// suspicion timeout; a slow primary holds each pre-prepare for nine tenths
+// of it.
 func scenarioFor(b adversary.Behavior, n int, seed int64, vct time.Duration) (*adversary.Scenario, int) {
 	id, cfg := n-1, Config{Behavior: b}
 	switch b {
@@ -115,6 +124,8 @@ func scenarioFor(b adversary.Behavior, n int, seed int64, vct time.Duration) (*a
 		id = 0
 	case adversary.SlowPrimary:
 		id, cfg.MaxDelay = 0, vct*9/10
+	case adversary.Censor:
+		id = 0
 	}
 	return &adversary.Scenario{
 		Seed:   seed,
@@ -161,6 +172,7 @@ func Run(p Params) *Result {
 		att.WrapReplica = sc.WrapReplica
 		attRes := bench.RunMicro(att)
 		row.Attacked = attRes.Throughput
+		row.Starved = starved(attRes.Events, att.Warmup, att.Replicas, att.Clients)
 		if row.Baseline > 0 {
 			row.Factor = row.Attacked / row.Baseline
 		}
@@ -169,6 +181,26 @@ func Run(p Params) *Result {
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// starved counts the clients of a run of n replicas that completed no
+// operation inside the measurement window, which starts at warmup; the
+// harness numbers its clients n, n+1, ... A client's trace ring drops its
+// oldest events first, so the window's completions are all there.
+func starved(events []obs.Event, warmup time.Duration, n, clients int) int {
+	done := make([]bool, clients)
+	for _, e := range events {
+		if i := int(e.Aux) - n; e.Kind == obs.EvClientDone && e.At >= warmup && i >= 0 && i < clients {
+			done[i] = true
+		}
+	}
+	out := 0
+	for _, ok := range done {
+		if !ok {
+			out++
+		}
+	}
+	return out
 }
 
 // livenessParams is the shared configuration of the baseline and every
@@ -189,6 +221,9 @@ func livenessParams(p Params) bench.MicroParams {
 	if mp.ViewChangeTimeout < 50*time.Millisecond {
 		mp.ViewChangeTimeout = 50 * time.Millisecond
 	}
+	// The clients' first retransmission timeout scales the same way, so a
+	// client whose requests are lost from the start retries inside the run.
+	mp.RetransmitFloor = 2 * mp.ViewChangeTimeout
 	mp.Trace = true
 	return mp
 }
@@ -204,6 +239,9 @@ func checkRow(row *Row) error {
 	if row.Safety.Agreeing < 2 {
 		return fmt.Errorf("campaign: behavior %s: only %d correct replicas agree at the executed frontier",
 			row.Behavior, row.Safety.Agreeing)
+	}
+	if row.Starved > 0 {
+		return fmt.Errorf("campaign: behavior %s: %d load clients completed no operation in the measurement window", row.Behavior, row.Starved)
 	}
 	if row.Factor < row.MinFactor {
 		return fmt.Errorf("campaign: behavior %s: throughput factor %.3f below floor %.2f (attacked %.0f vs baseline %.0f ops/s)",
@@ -246,7 +284,7 @@ func (r *Result) DumpFlight(dir string) ([]string, error) {
 func (r *Result) Tables() []*bench.Table {
 	sum := &bench.Table{
 		Title:  "Adversarial campaign: safety and liveness per behavior (f=1, 4 replicas)",
-		Header: []string{"behavior", "faulty", "lin_ops", "safe", "agree", "base_ops", "att_ops", "factor", "floor"},
+		Header: []string{"behavior", "faulty", "lin_ops", "safe", "agree", "base_ops", "att_ops", "factor", "floor", "starved"},
 	}
 	bd := &bench.Table{
 		Title:  "Adversarial campaign: attacked-run per-phase mean latency (us)",
@@ -267,6 +305,7 @@ func (r *Result) Tables() []*bench.Table {
 			fmt.Sprintf("%.0f", row.Attacked),
 			fmt.Sprintf("%.2f", row.Factor),
 			fmt.Sprintf("%.2f", row.MinFactor),
+			fmt.Sprint(row.Starved),
 		})
 		cells := append([]string{row.Behavior}, row.Breakdown.Row()...)
 		bd.Rows = append(bd.Rows, append(cells, fmt.Sprint(row.Breakdown.Count)))

@@ -44,6 +44,7 @@ func TestSafetyRunPerBehavior(t *testing.T) {
 				adversary.ForgeCommitRefs:   rep.Attacks.RefsForged,
 				adversary.WithholdCarriers:  rep.Attacks.CarriersWithheld,
 				adversary.SlowPrimary:       rep.Attacks.Delayed,
+				adversary.Censor:            rep.Attacks.Censored,
 				// CorruptTransfer only bites when a replica falls behind and
 				// fetches; the core-level test forces that path.
 				adversary.CorruptTransfer: 1,

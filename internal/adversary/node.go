@@ -11,7 +11,7 @@ import (
 
 // Adversary timer keys. They live in the same dense per-node key space as
 // the wrapped engine's timers, so they must be small constants well clear
-// of the replica's keys (1..5) and below the load-driver's stagger key
+// of the replica's keys (1..7) and below the load-driver's stagger key
 // (1000).
 const (
 	timerBase    = 64
@@ -34,6 +34,7 @@ type Stats struct {
 	Duplicated         int64 // messages delivered twice
 	RefsForged         int64 `json:",omitempty"` // bogus commit refs on own prepares (omitempty: older rows' JSON stays)
 	CarriersWithheld   int64 `json:",omitempty"` // own pre-prepares and prepares never sent
+	Censored           int64 `json:",omitempty"` // the victim's requests dropped on arrival
 }
 
 // heldMsg is one delayed outgoing transmission.
@@ -118,7 +119,25 @@ func (a *Node) Init(env proc.Env) {
 }
 
 // Receive implements proc.Handler.
-func (a *Node) Receive(data []byte) { a.inner.Receive(data) }
+func (a *Node) Receive(data []byte) {
+	if a.cfg.Behavior == Censor && a.censored(data) {
+		a.stats.Censored++
+		return
+	}
+	a.inner.Receive(data)
+}
+
+// censored reports whether data is a request of the censored client, id
+// n. A backup relays the client's own bytes, so one check covers both
+// routes.
+func (a *Node) censored(data []byte) bool {
+	if len(data) == 0 || message.Type(data[0]) != message.TypeRequest {
+		return false
+	}
+	m, _ := message.Unmarshal(data) // undecodable is "not a request"
+	req, ok := m.(*message.Request)
+	return ok && int(req.Client) == a.n
+}
 
 // OnTimer implements proc.Handler.
 func (a *Node) OnTimer(key int) {

@@ -28,6 +28,7 @@ const (
 	timerCommitFlush = 4 // piggyback idle-link fallback: flush held commits after StatusInterval/8
 	timerRecovery    = 5 // proactive recovery (extension)
 	timerBodyFetch   = 6 // grace period before fetching late separately transmitted bodies
+	timerAssign      = 7 // assignment deadline: a client's resent request left unassigned
 )
 
 // Options toggles the paper's normal-case optimizations (§3.1). The zero
@@ -118,7 +119,10 @@ type Config struct {
 	// status help round) and waits ViewChangeTimeout again; otherwise, or
 	// if that wait also expires, it starts a view change. Execution
 	// progress and a quorum checkpoint past the frontier restart the wait.
-	// The timeout doubles on consecutive failed view changes.
+	// The timeout doubles on consecutive failed view changes. A quarter of
+	// it is the assignment deadline T: a backup holding a client's resent
+	// request that no pre-prepare has assigned runs one help round at age
+	// T and starts a view change at 2T, whatever else executes meanwhile.
 	ViewChangeTimeout time.Duration
 
 	// StatusInterval is the period of status broadcasts while a replica is

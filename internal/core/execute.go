@@ -69,9 +69,14 @@ func (r *Replica) tryExecute() {
 // prefix committed are released, and checkpoints are taken on interval
 // boundaries (before any further tentative execution can dirty the state).
 func (r *Replica) onCommittedAdvance(seq int64) {
-	for _, rec := range r.clients {
-		if rec.lastReplySeq == seq && rec.lastReply != nil {
-			rec.lastReply.Tentative = false
+	if s := r.log[seq]; s != nil {
+		for _, req := range s.requests {
+			if req == nil {
+				continue
+			}
+			if rec := r.clients[req.Client]; rec != nil && rec.lastReplySeq == seq && rec.lastReply != nil {
+				rec.lastReply.Tentative = false
+			}
 		}
 	}
 	r.flushHeldReadOnly()

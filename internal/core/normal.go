@@ -42,14 +42,18 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 		return
 	}
 
-	if _, ok := r.inFlight[d]; ok {
-		return // already being ordered
+	// An assigned request is already being ordered, unless the assignment
+	// came first and is waiting for this body.
+	_, assigned := r.inFlight[d]
+	if assigned && len(r.missingBody[d]) == 0 {
+		return
 	}
 	if buf, ok := r.reqBuffer[d]; ok {
 		// Duplicate transmission; keep the widest replier designation so a
 		// retransmission demanding full replies is honored at execution.
 		if req.Replier == message.AllReplicas {
 			buf.req.Replier = message.AllReplicas
+			r.noteResend(buf)
 		}
 		return
 	}
@@ -61,6 +65,12 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 	// request transmission delivers bodies and assignments in any order).
 	r.bodyArrived(d, req)
 
+	if assigned {
+		return
+	}
+	if r.resent(req, len(raw)) {
+		r.noteResend(buf)
+	}
 	if r.inViewChange {
 		return
 	}
@@ -77,6 +87,17 @@ func (r *Replica) onRequest(req *message.Request, raw []byte) {
 		r.env.Send(primary, raw)
 	}
 	r.syncVCTimer(false)
+}
+
+// resent reports whether req, first buffered here, is its client's
+// retransmission. With digest replies a first transmission names one
+// replier, so AllReplicas marks a resend. Without them every transmission
+// names AllReplicas, and only a small request tells: its first
+// transmission goes to the primary alone. (A duplicate of a buffered body
+// is a resend either way; onRequest notes it there.)
+func (r *Replica) resent(req *message.Request, size int) bool {
+	return req.Replier == message.AllReplicas &&
+		(r.cfg.Opts.DigestReplies || !r.cfg.Opts.separate(size, r.cfg.InlineThreshold))
 }
 
 // clientRec returns (creating if needed) the client's execution record.
@@ -433,12 +454,7 @@ func (r *Replica) trySendBatches() {
 	if !r.isPrimary() || r.inViewChange {
 		return
 	}
-	window := r.cfg.Window
-	if !r.cfg.Opts.Batching {
-		// Without batching every request runs its own ordering round
-		// immediately; parallelism is bounded only by the log window.
-		window = r.cfg.LogWindow / 2
-	}
+	window := r.batchWindow()
 	for len(r.queue) > 0 {
 		next := r.lastPP + 1
 		if next > r.lastExec+window || next > r.lastStable+r.cfg.LogWindow {
@@ -450,6 +466,17 @@ func (r *Replica) trySendBatches() {
 		}
 		r.sendPrePrepare(batch)
 	}
+}
+
+// batchWindow is how many batches above the last executed one the primary
+// may have assigned.
+func (r *Replica) batchWindow() int64 {
+	if !r.cfg.Opts.Batching {
+		// Without batching every request runs its own ordering round
+		// immediately; parallelism is bounded only by the log window.
+		return r.cfg.LogWindow / 2
+	}
+	return r.cfg.Window
 }
 
 // nextBatch pops requests off the queue up to the batch bounds, skipping

@@ -237,6 +237,47 @@ func TestSeparateRequestTransmission(t *testing.T) {
 	}
 }
 
+// TestLateBodyFillsAssignedSlot: a separately transmitted body that
+// reaches a backup after the pre-prepare assigning it fills the slot at
+// once, and the backup fetches nothing.
+func TestLateBodyFillsAssignedSlot(t *testing.T) {
+	g := buildGroup(t, 4, []int{100}, nil)
+	var late []byte
+	fetches := 0
+	g.c.sent = func(src, dst int, data []byte) {
+		if src == 1 && len(data) > 0 && message.Type(data[0]) == message.TypeFetch {
+			fetches++
+		}
+	}
+	g.c.drop = func(src, dst int, data []byte) bool {
+		if late == nil && src == 100 && dst == 1 {
+			late = append([]byte(nil), data...)
+			return true
+		}
+		return false
+	}
+	g.c.start()
+	done := 0
+	g.invokeAsync(100, opSet("big", string(bytes.Repeat([]byte("v"), 400))), false, &done)
+	g.c.pump()
+	r := g.replicas[1]
+	s := r.log[r.maxKnownPP]
+	if late == nil || s == nil || !s.havePP || s.missing != 1 {
+		t.Fatal("replica 1 holds no pre-prepare waiting for the withheld body")
+	}
+	g.c.post(100, 1, late)
+	g.c.pump()
+	if s.missing != 0 || !s.sentPrepare {
+		t.Fatalf("the late body left the slot unresolved (missing %d, prepared %v)", s.missing, s.sentPrepare)
+	}
+	g.c.run(func() bool { return done == 1 }, 5*time.Second, "the op")
+	g.c.advance(g.replicas[0].cfg.StatusInterval)
+	if fetches != 0 {
+		t.Fatalf("replica 1 sent %d fetches for a body it received", fetches)
+	}
+	g.agreeState()
+}
+
 func TestSRTDisabledInlinesEverything(t *testing.T) {
 	g := buildGroup(t, 4, []int{100}, func(c *Config) {
 		c.Opts.SeparateRequests = false
@@ -337,6 +378,50 @@ func TestTentativeExecutionRepliesEarly(t *testing.T) {
 		t.Fatal("no tentative replies observed with tentative execution on")
 	}
 	g.agreeState()
+}
+
+// TestStoredReplyDefinitiveAfterCommit: a replica stores the reply of a
+// tentatively executed request as tentative; once the batch commits, a
+// resend of the request is answered with a definitive reply.
+func TestStoredReplyDefinitiveAfterCommit(t *testing.T) {
+	g := buildGroup(t, 4, []int{100}, nil)
+	var req []byte
+	g.c.sent = func(src, dst int, data []byte) {
+		if req == nil && src == 100 {
+			req = append([]byte(nil), data...)
+		}
+	}
+	tentative := map[int]bool{}
+	g.c.observe = func(src, dst int, data []byte) {
+		if m, err := message.Unmarshal(data); err == nil && dst == 100 {
+			if rep, ok := m.(*message.Reply); ok {
+				tentative[src] = rep.Tentative
+			}
+		}
+	}
+	g.c.start()
+	g.invoke(100, opSet("k", "v"), false)
+	if !tentative[0] {
+		t.Fatal("the primary's first reply was not tentative; nothing to upgrade")
+	}
+	for i, r := range g.replicas {
+		if r.lastCommittedExec != r.lastExec {
+			t.Fatalf("replica %d committed %d of %d", i, r.lastCommittedExec, r.lastExec)
+		}
+	}
+	clear(tentative)
+	for i := range g.replicas {
+		g.c.post(100, i, req)
+	}
+	g.c.pump()
+	if len(tentative) != len(g.replicas) {
+		t.Fatalf("%d replicas answered the resend, want %d", len(tentative), len(g.replicas))
+	}
+	for i, tent := range tentative {
+		if tent {
+			t.Fatalf("replica %d answered a committed request's resend tentatively", i)
+		}
+	}
 }
 
 func TestTentativeDisabledNoTentativeReplies(t *testing.T) {

@@ -44,11 +44,17 @@ type heldReply struct {
 }
 
 // bufferedRequest is an authenticated request body awaiting ordering.
+// resent marks a body its client retransmitted: on a backup it runs the
+// assignment deadline from resentAt (see checkAssignment), and helped
+// records that the deadline spent its help round on it.
 type bufferedRequest struct {
-	req     *message.Request
-	raw     []byte
-	digest  crypto.Digest
-	relayed bool
+	req      *message.Request
+	raw      []byte
+	digest   crypto.Digest
+	relayed  bool
+	resent   bool
+	helped   bool
+	resentAt time.Duration
 }
 
 // Replica is one member of the BFT replica group. It is a single-threaded
@@ -66,6 +72,7 @@ type Replica struct {
 	vcTimeout     time.Duration
 	vcTimerArmed  bool
 	vcHelped      bool // the view-change timer ran a help round since the last restart
+	assignArmed   bool // timerAssign is running
 	statusStarted bool
 
 	// lastPP is the last sequence number the primary assigned (meaningful
@@ -420,6 +427,9 @@ func (r *Replica) OnTimer(key int) {
 	case timerBodyFetch:
 		r.bodyFetchArmed = false
 		r.fetchLateBodies()
+	case timerAssign:
+		r.assignArmed = false
+		r.checkAssignment()
 	case timerRecovery:
 		r.startRecovery()
 	}
@@ -494,4 +504,142 @@ func (r *Replica) syncVCTimer(restart bool) {
 		r.env.CancelTimer(timerViewChange)
 		r.vcTimerArmed = false
 	}
+}
+
+// assignDeadline is T, the assignment deadline of a resent request (see
+// checkAssignment).
+func (r *Replica) assignDeadline() time.Duration { return r.vcTimeout / 4 }
+
+// noteResend starts buf's assignment deadline unless it already runs: a
+// client's resend means it waited a full first timeout without a reply
+// certificate, so a backup expects the primary to assign it promptly.
+func (r *Replica) noteResend(buf *bufferedRequest) {
+	if buf.resent {
+		return
+	}
+	buf.resent, buf.resentAt = true, r.env.Now()
+	r.armAssign(r.assignDeadline())
+}
+
+// armAssign arms the assignment timer for d unless it is already running.
+// Only a backup in a settled view judges its primary; enterNewView restarts
+// every deadline.
+func (r *Replica) armAssign(d time.Duration) {
+	if r.assignArmed || r.inViewChange || r.isPrimary() {
+		return
+	}
+	r.assignArmed = true
+	r.env.SetTimer(timerAssign, d)
+}
+
+// restartAssignDeadlines restarts the deadline of every held resend.
+func (r *Replica) restartAssignDeadlines() {
+	now, held := r.env.Now(), false
+	for _, buf := range r.reqBuffer {
+		if buf.resent {
+			buf.resentAt, buf.helped, held = now, false, true
+		}
+	}
+	if held {
+		r.armAssign(r.assignDeadline())
+	}
+}
+
+// oldestResend returns the held resend that no accepted pre-prepare has
+// assigned and that arrived first, ties broken by digest; nil if none. It
+// forgets a held resend whose client has since had an equal or later
+// timestamp executed: the primary drops that request as old, so holding
+// it would let a faulty client that sends one request to the primary and
+// a different one with the same timestamp to the backups depose a correct
+// primary.
+func (r *Replica) oldestResend() *bufferedRequest {
+	var old *bufferedRequest
+	for d, buf := range r.reqBuffer {
+		if !buf.resent {
+			continue
+		}
+		if _, assigned := r.inFlight[d]; assigned {
+			continue
+		}
+		if rec := r.clients[buf.req.Client]; rec != nil && buf.req.Timestamp <= rec.lastTimestamp {
+			r.forgetRequest(d)
+			continue
+		}
+		if old == nil || buf.resentAt < old.resentAt ||
+			(buf.resentAt == old.resentAt && slices.Compare(d[:], old.digest[:]) < 0) {
+			old = buf
+		}
+	}
+	return old
+}
+
+// checkAssignment runs when the assignment timer expires. It judges the
+// oldest unassigned resend by its age, so progress on other requests
+// cannot defer the verdict: at age T it runs one help round and sends the
+// request to the primary again, at 2T it starts a view change. Then it
+// re-arms for the time that request has left. The age, not the number of
+// expiries, decides, so a burst of resends buys one help round, not one
+// per request. The deadline starts over instead while the primary's window
+// looks full (a saturated primary delays requests legitimately) and while
+// a quorum checkpoint is above this replica's committed frontier (it is
+// behind, and cannot tell an assignment it missed from none).
+func (r *Replica) checkAssignment() {
+	if r.inViewChange || r.isPrimary() {
+		return
+	}
+	buf := r.oldestResend()
+	r.syncVCTimer(false) // oldestResend may have forgotten answered requests
+	if buf == nil {
+		return
+	}
+	if r.windowFull() || r.knownStable > r.lastCommittedExec {
+		r.restartAssignDeadlines()
+		return
+	}
+	t := r.assignDeadline()
+	age := r.env.Now() - buf.resentAt
+	if age >= 2*t {
+		r.startViewChange(r.view + 1)
+		return
+	}
+	if age >= t && !buf.helped {
+		buf.helped = true
+		r.helpRound()
+		// Send buffers hand ownership to the environment; the buffered
+		// copy stays ours.
+		r.env.Send(r.cfg.PrimaryOf(r.view), slices.Clone(buf.raw))
+	}
+	if buf.helped {
+		t *= 2
+	}
+	r.armAssign(t - age)
+}
+
+// windowFull reports whether the primary's batching window looks full from
+// here: every one of the window's sequence numbers above the last executed
+// batch holds an accepted batch with a request not yet executed. Looking
+// at each slot, not at the highest pre-prepare, keeps a primary from
+// faking a full window with one pre-prepare far ahead, and batches that
+// are empty or replay executed requests do not fill it either.
+func (r *Replica) windowFull() bool {
+	for seq := r.lastExec + 1; seq <= r.lastExec+r.batchWindow(); seq++ {
+		if s := r.log[seq]; s == nil || !s.havePP || !r.ordersNew(s) {
+			return false
+		}
+	}
+	return true
+}
+
+// ordersNew reports whether batch s holds a request its client has not
+// had executed here; a body still missing counts, since it may be new.
+func (r *Replica) ordersNew(s *slot) bool {
+	for _, req := range s.requests {
+		if req == nil {
+			return true
+		}
+		if rec := r.clients[req.Client]; rec == nil || req.Timestamp > rec.lastTimestamp {
+			return true
+		}
+	}
+	return false
 }

@@ -619,6 +619,7 @@ func (r *Replica) enterNewView(nv *message.NewView, stableD crypto.Digest) {
 	r.tryExecute()
 	r.trySendBatches()
 	r.syncVCTimer(true)
+	r.restartAssignDeadlines()
 }
 
 // salvageRequests re-buffers authenticated request bodies that were held
