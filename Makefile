@@ -104,11 +104,15 @@ bench-host:
 # (core.Checkpointer) over real transport; its check includes
 # read-your-write and equal StateDigest at equal last_executed.
 #
-# The last two steps are gates, not smokes, each read from the last line
+# The last three steps are gates, not smokes, each read from the last line
 # run.sh prints. A traced rtt-udp run must send fewer than 4 standalone
 # commit datagrams per operation (12 without piggybacked commits, under 2
 # with the flush policy of DESIGN.md §14); a count, so host speed does not
-# move it. One traced 10 s failover-udp run gates two things. It must
+# move it. A traced sat-chan run must order at least 10 requests per batch
+# (core.reqs_per_batch): about 20 with the hosts' one-batch window
+# (DESIGN.md §18), about 5 with the paper's eight, where near-empty batches
+# each pay a whole ordering round; a count too. One traced 10 s
+# failover-udp run gates two things. It must
 # report client.post_fault_p90_us under 50 ms once the primary is gone:
 # about 2 ms when the client stops designating the dead replica (DESIGN.md
 # §15), hundreds of ms when every fourth request waits out the 150 ms
@@ -126,6 +130,10 @@ bench-e2e:
 		| sed -n 's/.*"transport\.msgs_per_op\.commit":{"value":\([0-9.e+-]*\).*/\1/p'); \
 	echo "bench-e2e: transport.msgs_per_op.commit = $$commits (want < 4)"; \
 	awk -v c="$$commits" 'BEGIN { exit !(c != "" && c + 0 < 4) }'
+	@batch=$$(bash benchmarks/run.sh --workload sat-chan --seed 1 --seconds 3 --trace 1 | tail -n 1 \
+		| sed -n 's/.*"core\.reqs_per_batch":{"value":\([0-9.e+-]*\).*/\1/p'); \
+	echo "bench-e2e: core.reqs_per_batch = $$batch (want >= 10)"; \
+	awk -v b="$$batch" 'BEGIN { exit !(b != "" && b + 0 >= 10) }'
 	@last=$$(bash benchmarks/run.sh --workload failover-udp --seed 1 --seconds 10 --trace 1 | tail -n 1); \
 	p90=$$(echo "$$last" | sed -n 's/.*"client\.post_fault_p90_us":{"value":\([0-9.e+-]*\).*/\1/p'); \
 	outage=$$(echo "$$last" | sed -n 's/.*"client\.outage_ms":{"value":\([0-9.e+-]*\).*/\1/p'); \

@@ -151,36 +151,45 @@ func Run(p Params) *Result {
 	}
 
 	base := livenessParams(p)
-	baseRes := bench.RunMicro(base)
+	baseline := bench.RunMicro(base).Throughput
 
 	res := &Result{}
 	for _, b := range adversary.Behaviors {
-		sc, faulty := scenarioFor(b, 4, p.Seed, base.ViewChangeTimeout)
-		att, baseline := base, baseRes.Throughput
-		if b.Piggybacked() {
-			att.Opts.PiggybackCommits = true
-			baseline = bench.RunMicro(att).Throughput
-		}
-		row := Row{
-			Behavior:  b.String(),
-			FaultyID:  faulty,
-			MinFactor: minFactor[b],
-			Baseline:  baseline,
-			Safety:    safetyRun(b, p.Seed),
-		}
-
-		att.WrapReplica = sc.WrapReplica
-		attRes := bench.RunMicro(att)
-		row.Attacked = attRes.Throughput
-		row.Starved = starved(attRes.Events, att.Warmup, att.Replicas, att.Clients)
-		if row.Baseline > 0 {
-			row.Factor = row.Attacked / row.Baseline
-		}
-		row.Breakdown = obs.Summarize(obs.AssembleSpans(attRes.Events), att.Warmup)
-		row.Events = attRes.Events
+		row := attack(b, base, baseline)
+		row.Safety = safetyRun(b, p.Seed)
 		res.Rows = append(res.Rows, row)
 	}
 	return res
+}
+
+// attack runs behavior b's liveness row: the run base with b installed,
+// against baseline, base's fault-free throughput. A behavior that needs
+// piggybacked commits gets them, and a baseline run with them. The row's
+// Safety is left for the caller.
+func attack(b adversary.Behavior, base bench.MicroParams, baseline float64) Row {
+	sc, faulty := scenarioFor(b, base.Replicas, base.Seed, base.ViewChangeTimeout)
+	att := base
+	if b.Piggybacked() {
+		att.Opts.PiggybackCommits = true
+		baseline = bench.RunMicro(att).Throughput
+	}
+	row := Row{
+		Behavior:  b.String(),
+		FaultyID:  faulty,
+		MinFactor: minFactor[b],
+		Baseline:  baseline,
+	}
+
+	att.WrapReplica = sc.WrapReplica
+	attRes := bench.RunMicro(att)
+	row.Attacked = attRes.Throughput
+	row.Starved = starved(attRes.Events, att.Warmup, att.Replicas, att.Clients)
+	if row.Baseline > 0 {
+		row.Factor = row.Attacked / row.Baseline
+	}
+	row.Breakdown = obs.Summarize(obs.AssembleSpans(attRes.Events), att.Warmup)
+	row.Events = attRes.Events
+	return row
 }
 
 // starved counts the clients of a run of n replicas that completed no

@@ -2,12 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"bftfast/bft"
 	"bftfast/internal/adversary"
+	"bftfast/internal/bench"
 	"bftfast/internal/obs"
 )
 
@@ -145,5 +148,32 @@ func TestCampaign(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "campaign.json"), buf.Bytes(), 0o644); err != nil {
 			t.Fatalf("writing JSON artifact: %v", err)
 		}
+	}
+}
+
+// TestCensorDeposedAtHostWindow runs the censor row with the batching
+// window and commit piggybacking hosts run (bft.DefaultConfig), read from
+// that config so the two cannot drift apart. With W = 1 the assignment
+// deadline's full-window guard looks at a single slot above execution,
+// which a loaded primary fills far more often than eight; the censored
+// client must still be served once the censor is deposed.
+func TestCensorDeposedAtHostWindow(t *testing.T) {
+	host := bft.DefaultConfig(4, 0)
+	for _, clients := range []int{8, 32} {
+		t.Run(fmt.Sprintf("clients=%d", clients), func(t *testing.T) {
+			seed := campaignSeed(t)
+			base := livenessParams(Params{Seed: seed, Scale: 0.25, Clients: clients})
+			base.Window = host.Window
+			base.Opts.PiggybackCommits = host.Opts.PiggybackCommits
+			row := attack(adversary.Censor, base, bench.RunMicro(base).Throughput)
+			t.Logf("seed=%d window=%d clients=%d factor=%.2f (attacked %.0f vs baseline %.0f ops/s) starved=%d",
+				seed, base.Window, clients, row.Factor, row.Attacked, row.Baseline, row.Starved)
+			if row.Starved != 0 {
+				t.Errorf("seed=%d: %d load clients completed no operation in the measurement window", seed, row.Starved)
+			}
+			if row.Factor < row.MinFactor {
+				t.Errorf("seed=%d: throughput factor %.2f below floor %.2f", seed, row.Factor, row.MinFactor)
+			}
+		})
 	}
 }
