@@ -120,7 +120,9 @@ func NewClientConfig(n, self int) ClientConfig {
 }
 
 // NewKeyrings allocates a keyring per node id. Replica ids must be
-// 0..n-1; client ids must lie outside that range.
+// 0..n-1; client ids must lie outside that range. Provision tells the two
+// apart by that rule: the ids 0, 1, 2, … present without a gap are
+// replicas, every other id is a client.
 func NewKeyrings(ids []int) []*Keyring {
 	rings := make([]*Keyring, len(ids))
 	for i, id := range ids {
@@ -129,12 +131,27 @@ func NewKeyrings(ids []int) []*Keyring {
 	return rings
 }
 
-// Provision wires a full mesh of fresh pairwise session and master keys
-// across the given keyrings, reading randomness from rng (use
-// crypto/rand.Reader in production). It stands in for the public-key
-// session-key exchange of the paper's system.
+// Provision wires fresh pairwise session and master keys across the given
+// keyrings, reading randomness from rng (use crypto/rand.Reader in
+// production). It stands in for the public-key session-key exchange of the
+// paper's system, and keys exactly the pairs a message can travel between:
+// every two replicas, and every replica with every client. Two clients get
+// no keys for each other, since no message goes from one client to
+// another; a group's key count grows with replicas × nodes, not with the
+// square of its clients. A keyring is a replica's when its id lies in the
+// run 0, 1, 2, … of the given ids (see NewKeyrings), so a client whose id
+// continues that run is keyed like a replica. Provision fails if two
+// keyrings share an id.
 func Provision(rng io.Reader, rings []*Keyring) error {
-	return crypto.ProvisionAll(rng, rings)
+	present := make(map[int]bool, len(rings))
+	for _, r := range rings {
+		present[r.Self()] = true
+	}
+	replicas := 0
+	for present[replicas] {
+		replicas++
+	}
+	return crypto.ProvisionHubs(rng, rings, func(id int) bool { return id >= 0 && id < replicas })
 }
 
 // ExportKeyring serializes a keyring (including its secrets!) so separate

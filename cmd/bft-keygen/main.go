@@ -1,8 +1,14 @@
 // Command bft-keygen provisions the pairwise session and master keys for a
 // BFT deployment and writes one keyring file per node, so independently
-// started processes (cmd/bft-replica, clients) share the mesh.
+// started processes (cmd/bft-replica, clients) share the keys.
 //
 //	bft-keygen -replicas 4 -clients 100,101 -out ./keys
+//
+// Keys go only to pairs a message can travel between (bft.Provision): a
+// replica's file holds keys for every other node, a client's file keys for
+// the replicas only, since clients never talk to each other. A client id
+// that continues the replica ids (4 with -replicas 4) is keyed like a
+// replica. A repeated client id is an error.
 //
 // The files contain raw secrets: distribute them like private keys. In a
 // production system this provisioning is replaced by a PKI plus the

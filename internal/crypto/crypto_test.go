@@ -405,6 +405,44 @@ func TestKeyTableExportImportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestProvisionHubsPairRule: ProvisionAll keys every pair of arbitrary
+// ids, ProvisionHubs only the pairs with a hub at one end, and both refuse
+// a repeated id.
+func TestProvisionHubsPairRule(t *testing.T) {
+	ids := []int{0, 7, 14, 100}
+	linked := func(a, b *KeyTable) bool {
+		tag, ok := SingleMAC(a, b.Self(), []byte("m"))
+		_, master := a.Master(b.Self())
+		return ok && master && VerifySingle(b, a.Self(), tag, []byte("m"))
+	}
+	for _, hubs := range []int{len(ids), 1} {
+		tables := make([]*KeyTable, len(ids))
+		for i, id := range ids {
+			tables[i] = NewKeyTable(id)
+		}
+		var err error
+		if hubs == len(ids) {
+			err = ProvisionAll(testRNG(8), tables)
+		} else {
+			err = ProvisionHubs(testRNG(8), tables, func(id int) bool { return id == 0 })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range tables {
+			for j, b := range tables {
+				if want := i != j && (i < hubs || j < hubs); linked(a, b) != want {
+					t.Fatalf("%d hubs: pair %d -> %d keyed = %v, want %v", hubs, a.Self(), b.Self(), !want, want)
+				}
+			}
+		}
+	}
+	dup := []*KeyTable{NewKeyTable(0), NewKeyTable(1), NewKeyTable(1)}
+	if err := ProvisionAll(testRNG(8), dup); err == nil {
+		t.Fatal("repeated id provisioned")
+	}
+}
+
 // TestKeyTableExportDeterministic: one table always exports the same
 // bytes, and an import/export round trip reproduces them.
 func TestKeyTableExportDeterministic(t *testing.T) {

@@ -37,11 +37,12 @@ type KeyTable struct {
 }
 
 // peerKey is one pairwise key and the slot of its MAC state. The state is
-// built on first use, not when the key is installed: a provisioned mesh
-// gives every node keys for every peer in three directions, most of which a
-// run never uses. The state lives in KeyTable.states, not here, so the key
-// maps hold no pointers: a process hosting a whole provisioned group keeps
-// hundreds of thousands of entries the garbage collector need not scan.
+// built on first use, not when the key is installed: provisioning gives a
+// node keys for each peer in three directions, and a run uses few of the
+// master keys (and, in a full mesh, few of any kind). The state lives in
+// KeyTable.states, not here, so the key maps hold no pointers: a process
+// hosting a whole fully meshed group keeps hundreds of thousands of entries
+// the garbage collector need not scan.
 type peerKey struct {
 	key  Key
 	slot int32 // 1 + index into KeyTable.states; 0 until first use
@@ -202,20 +203,50 @@ func VerifyMasterEntry(t *KeyTable, sender int, a Authenticator, content ...[]by
 
 // ProvisionAll wires a full mesh of fresh pairwise keys across the given
 // tables, reading randomness from rng. It is the standard bootstrap for
-// tests, simulations and the examples: table[i] gets inbound keys for every
-// j != i and the matching outbound keys are installed at j.
+// tests and simulations, whose node ids follow no replica/client rule:
+// table[i] gets inbound keys for every j != i and the matching outbound
+// keys are installed at j.
 func ProvisionAll(rng io.Reader, tables []*KeyTable) error {
-	// Each table ends with a key per peer in every map: size the maps once
-	// rather than growing them through every doubling, which for a mesh of
-	// a few hundred nodes costs a sixth of the provisioning time.
+	return ProvisionHubs(rng, tables, func(int) bool { return true })
+}
+
+// ProvisionHubs wires fresh pairwise keys, reading randomness from rng,
+// between every two tables of which at least one belongs to a hub: each
+// table of such a pair gets an inbound key the other installs as its
+// outbound key, and the two share one master key. Two tables that are not
+// hubs get no keys for each other, so the work is O(hubs × tables). Table
+// ids must be distinct. Keys are drawn pair by pair in table order, so a
+// seeded rng yields the same keys on every run.
+func ProvisionHubs(rng io.Reader, tables []*KeyTable, hub func(id int) bool) error {
+	seen := make(map[int]bool, len(tables))
+	var hubs []*KeyTable
 	for _, t := range tables {
+		if seen[t.self] {
+			return fmt.Errorf("crypto: provisioning keys: node id %d appears twice", t.self)
+		}
+		seen[t.self] = true
+		if hub(t.self) {
+			hubs = append(hubs, t)
+		}
+	}
+	// Size each table's maps once for its own peers rather than growing
+	// them through every doubling, which for a mesh of a few hundred nodes
+	// costs a sixth of the provisioning time.
+	for _, t := range tables {
+		n := len(hubs)
+		if hub(t.self) {
+			n = len(tables) - 1
+		}
 		t.mu.Lock()
-		n := len(tables) - 1
 		t.in, t.out, t.master, t.epoch = grown(t.in, n), grown(t.out, n), grown(t.master, n), grown(t.epoch, n)
 		t.mu.Unlock()
 	}
 	for _, recv := range tables {
-		for _, send := range tables {
+		senders := hubs
+		if hub(recv.self) {
+			senders = tables
+		}
+		for _, send := range senders {
 			if recv.Self() == send.Self() {
 				continue
 			}
